@@ -27,14 +27,22 @@ type bitstream = {
   bs_dynamic : Region.t list;  (** regions being reconfigured *)
 }
 
+(* One memory's bits resident in one configuration frame: a BRAM block's
+   content frame [k], or one LUTRAM site's 64-entry slice.  A segment is
+   expanded bit by bit only when a frame is filled or restored (see
+   [iter_segment]), so the index costs one entry per site and frame, not
+   one per memory bit. *)
+type mem_segment =
+  | Bram_seg of { mi : int; block_row : int; block_col : int; k : int }
+  | Lutram_seg of { mi : int; bit : int; depth_unit : int; tile : int }
+
 (* State bits resident in one configuration frame — the inverse of the
    locmap walks below, precomputed per design so capture/restore touch
    only the frames a readback actually transfers instead of sweeping
    every state bit on the SLR. *)
 type frame_bits = {
   fb_ffs : (int * int * int) array;  (* ff index, frame word, frame bit *)
-  fb_mems : (int * int * int * int * int) array;
-      (* mem index, addr, mem bit, frame word, frame bit *)
+  fb_mems : mem_segment array;
 }
 
 type t = {
@@ -213,12 +221,50 @@ let iter_slr_mem_bits t ~slr f =
 
 (* --- frame-key -> state-bits reverse index ----------------------------- *)
 
-(* One walk over the whole design (all SLRs at once), mirroring the bit
-   layout of [iter_slr_ffs]/[iter_slr_mem_bits] exactly.  Visibility
-   (GSR restriction + dynamic regions) is NOT baked in: it depends on
-   runtime CTL0 state, and every site in a frame shares the frame key's
-   (row, col), so the filter collapses to one check per frame at use
-   time. *)
+let bram_bits_per_frame = Geometry.words_per_frame * 32
+
+(* The closed-form inverse of [Loc.bram_bit_position]/[Geometry.bram_location]
+   and [Loc.lutram_bit_position]/[Geometry.lut_location]: call
+   [f mi addr bit word fbit] for every bit of the segment that lies inside
+   the memory's depth and width.  BRAM frame [k] of a block holds content
+   bits [w] in [k*4096, (k+1)*4096); [w] is entry [w/36], bit [w mod 36]
+   of the block, walked here row by row so no bit pays a division. *)
+let iter_segment (mems : Netlist.mem array) seg f =
+  match seg with
+  | Bram_seg { mi; block_row; block_col; k } ->
+    let m = mems.(mi) in
+    let rows = min 1024 (m.Netlist.mem_depth - (block_row * 1024)) in
+    let cols = min 36 (m.Netlist.mem_width - (block_col * 36)) in
+    let addr0 = block_row * 1024 and bit0 = block_col * 36 in
+    let w0 = k * bram_bits_per_frame in
+    let w_last = w0 + bram_bits_per_frame - 1 in
+    for r = w0 / 36 to min (rows - 1) (w_last / 36) do
+      let base = r * 36 in
+      for c = max 0 (w0 - base) to min (cols - 1) (w_last - base) do
+        let off = base + c - w0 in
+        f mi (addr0 + r) (bit0 + c) (off lsr 5) (off land 31)
+      done
+    done
+  | Lutram_seg { mi; bit; depth_unit; tile } ->
+    let m = mems.(mi) in
+    let addr0 = depth_unit * 64 in
+    if bit < m.Netlist.mem_width then
+      for a = 0 to min 63 (m.Netlist.mem_depth - 1 - addr0) do
+        f mi (addr0 + a) bit ((2 * tile) + (a lsr 5)) (a land 31)
+      done
+
+let segment_nonempty mems seg =
+  match iter_segment mems seg (fun _ _ _ _ _ -> raise_notrace Exit) with
+  | () -> false
+  | exception Exit -> true
+
+(* One walk over the whole design (all SLRs at once), covering the bits
+   of [iter_slr_ffs]/[iter_slr_mem_bits] exactly: FFs one by one,
+   memories one segment per (site, frame) holding at least one bit.
+   Visibility (GSR restriction + dynamic regions) is NOT baked in: it
+   depends on runtime CTL0 state, and every site in a frame shares the
+   frame key's (row, col), so the filter collapses to one check per frame
+   at use time. *)
 let build_state_index t (p : payload) =
   let n = Array.length t.ucs in
   let tmp = Array.init n (fun _ -> Hashtbl.create 1024) in
@@ -237,59 +283,63 @@ let build_state_index t (p : payload) =
       let ffs, _ = cell site.Loc.f_slr (site.Loc.f_row, site.Loc.f_col, minor) in
       ffs := (i, word, bit) :: !ffs)
     p.locmap.Loc.ff_sites;
+  let mems = p.netlist.Netlist.mems in
+  let add slr key seg =
+    if segment_nonempty mems seg then begin
+      let _, segs = cell slr key in
+      segs := seg :: !segs
+    end
+  in
   Array.iteri
     (fun mi placement ->
-      let m = p.netlist.Netlist.mems.(mi) in
+      let m = mems.(mi) in
       match placement with
       | Loc.In_bram sites ->
         let width_blocks = (m.Netlist.mem_width + 35) / 36 in
-        for addr = 0 to m.Netlist.mem_depth - 1 do
-          for bit = 0 to m.Netlist.mem_width - 1 do
-            let brow, bcol, within =
-              Loc.bram_bit_position ~depth:m.Netlist.mem_depth ~addr ~bit
-            in
-            let ordinal = (brow * width_blocks) + bcol in
-            if ordinal < Array.length sites then begin
-              let site = sites.(ordinal) in
-              let minor, word, fbit =
-                Geometry.bram_location ~tile:site.Loc.b_tile ~bit:within
-              in
-              let _, mems =
-                cell site.Loc.b_slr (site.Loc.b_row, site.Loc.b_col, minor)
-              in
-              mems := (mi, addr, bit, word, fbit) :: !mems
-            end
-          done
-        done
+        if width_blocks > 0 then
+          Array.iteri
+            (fun ordinal (site : Loc.bram_site) ->
+              let block_row = ordinal / width_blocks in
+              let block_col = ordinal mod width_blocks in
+              for k = 0 to Geometry.bram_content_frames_per_tile - 1 do
+                let minor, _, _ =
+                  Geometry.bram_location ~tile:site.Loc.b_tile
+                    ~bit:(k * bram_bits_per_frame)
+                in
+                add site.Loc.b_slr
+                  (site.Loc.b_row, site.Loc.b_col, minor)
+                  (Bram_seg { mi; block_row; block_col; k })
+              done)
+            sites
       | Loc.In_lutram sites ->
         let depth_units = (m.Netlist.mem_depth + 63) / 64 in
-        for addr = 0 to m.Netlist.mem_depth - 1 do
-          for bit = 0 to m.Netlist.mem_width - 1 do
-            let depth_unit, bitcol, within = Loc.lutram_bit_position ~addr ~bit in
-            let ordinal = (bitcol * depth_units) + depth_unit in
-            if ordinal < Array.length sites then begin
-              let site = sites.(ordinal) in
-              let minor, word, fbit =
+        if depth_units > 0 then
+          Array.iteri
+            (fun ordinal (site : Loc.lut_site) ->
+              let minor, _, _ =
                 Geometry.lut_location ~tile:site.Loc.l_tile
-                  ~site:site.Loc.l_index ~bit:within
+                  ~site:site.Loc.l_index ~bit:0
               in
-              let _, mems =
-                cell site.Loc.l_slr (site.Loc.l_row, site.Loc.l_col, minor)
-              in
-              mems := (mi, addr, bit, word, fbit) :: !mems
-            end
-          done
-        done)
+              add site.Loc.l_slr
+                (site.Loc.l_row, site.Loc.l_col, minor)
+                (Lutram_seg
+                   {
+                     mi;
+                     bit = ordinal / depth_units;
+                     depth_unit = ordinal mod depth_units;
+                     tile = site.Loc.l_tile;
+                   }))
+            sites)
     p.locmap.Loc.mem_placements;
   Array.map
     (fun tbl ->
       let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
       Hashtbl.iter
-        (fun key (ffs, mems) ->
+        (fun key (ffs, segs) ->
           Hashtbl.add out key
             {
               fb_ffs = Array.of_list (List.rev !ffs);
-              fb_mems = Array.of_list (List.rev !mems);
+              fb_mems = Array.of_list (List.rev !segs);
             })
         tbl;
       out)
@@ -305,6 +355,8 @@ let state_index t (p : payload) =
     t.state_index <- Some (p, idx);
     idx
 
+let frame_index t = state_index t (payload t)
+
 (* Every site in a frame shares the key's (row, col), so the GSR
    restriction check of [iter_slr_ffs]/[iter_slr_mem_bits] is one test
    per frame here. *)
@@ -314,6 +366,12 @@ let frame_visible t ~slr key =
   let row, col, _ = key in
   Region.contains_any t.dynamic_regions ~slr ~row ~col
 
+let put_bit (frame : int array) word bit v =
+  let m = 1 lsl bit in
+  frame.(word) <- (if v then frame.(word) lor m else frame.(word) land lnot m)
+
+let get_bit (frame : int array) word bit = (frame.(word) lsr bit) land 1 = 1
+
 (* The lazy half of GCAPTURE: refresh the state bits of one frame from
    the live design, at FDRO read time. *)
 let fill_frame t slr key =
@@ -321,20 +379,16 @@ let fill_frame t slr key =
   | None -> ()
   | Some (p, sim) -> (
     match Hashtbl.find_opt (state_index t p).(slr) key with
-    | None -> ()
-    | Some fb ->
-      if frame_visible t ~slr key then begin
-        let frames = t.ucs.(slr).Uc.frames in
-        Array.iter
-          (fun (i, word, bit) ->
-            Frames.set_bit frames key ~word ~bit (Netsim.ff_value sim i))
-          fb.fb_ffs;
-        Array.iter
-          (fun (mi, addr, bit, word, fbit) ->
-            Frames.set_bit frames key ~word ~bit:fbit
-              (Netsim.mem_bit sim mi ~addr ~bit))
-          fb.fb_mems
-      end)
+    | Some fb when frame_visible t ~slr key ->
+      let frame = Frames.frame t.ucs.(slr).Uc.frames key in
+      Array.iter
+        (fun (i, word, bit) -> put_bit frame word bit (Netsim.ff_value sim i))
+        fb.fb_ffs;
+      let fill mi addr bit word fbit =
+        put_bit frame word fbit (Netsim.mem_bit sim mi ~addr ~bit)
+      in
+      Array.iter (fun seg -> iter_segment p.netlist.Netlist.mems seg fill) fb.fb_mems
+    | _ -> ())
 
 (* GCAPTURE, eagerly: arm the µc and materialize every state frame of
    SLR [slr].  The packet-stream path never calls this — FDRO reads
@@ -357,26 +411,23 @@ let restore_slr t slr =
   | Some (p, sim) ->
     let u = t.ucs.(slr) in
     let idx = (state_index t p).(slr) in
+    let mems = p.netlist.Netlist.mems in
     let applied = ref false in
     List.iter
       (fun key ->
         match Hashtbl.find_opt idx key with
-        | None -> ()
-        | Some fb ->
-          if frame_visible t ~slr key then begin
-            applied := true;
-            Uc.mark_clean u key;
-            let frames = u.Uc.frames in
-            Array.iter
-              (fun (i, word, bit) ->
-                Netsim.set_ff sim i (Frames.get_bit frames key ~word ~bit))
-              fb.fb_ffs;
-            Array.iter
-              (fun (mi, addr, bit, word, fbit) ->
-                Netsim.set_mem_bit sim mi ~addr ~bit
-                  (Frames.get_bit frames key ~word ~bit:fbit))
-              fb.fb_mems
-          end)
+        | Some fb when frame_visible t ~slr key ->
+          applied := true;
+          Uc.mark_clean u key;
+          let frame = Frames.frame u.Uc.frames key in
+          Array.iter
+            (fun (i, word, bit) -> Netsim.set_ff sim i (get_bit frame word bit))
+            fb.fb_ffs;
+          let restore mi addr bit word fbit =
+            Netsim.set_mem_bit sim mi ~addr ~bit (get_bit frame word fbit)
+          in
+          Array.iter (fun seg -> iter_segment mems seg restore) fb.fb_mems
+        | _ -> ())
       (Uc.dirty_keys u);
     if !applied then Netsim.eval_comb sim
 
@@ -639,12 +690,7 @@ let carry_over_state t (fresh : Netsim.t) (p : payload) ~dynamic =
           | Some old_mi when
               old_p.netlist.Netlist.mems.(old_mi).Netlist.mem_width = m.Netlist.mem_width
               && old_p.netlist.Netlist.mems.(old_mi).Netlist.mem_depth = m.Netlist.mem_depth ->
-            for addr = 0 to m.Netlist.mem_depth - 1 do
-              for bit = 0 to m.Netlist.mem_width - 1 do
-                Netsim.set_mem_bit fresh mi ~addr ~bit
-                  (Netsim.mem_bit old_sim old_mi ~addr ~bit)
-              done
-            done
+            Netsim.copy_mem fresh mi ~src:old_sim ~src_mi:old_mi
           | _ -> ())
       p.netlist.Netlist.mems
 

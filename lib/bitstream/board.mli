@@ -37,13 +37,23 @@ type bitstream = {
   bs_dynamic : Region.t list;  (** regions being reconfigured *)
 }
 
+(** One memory's bits resident in one configuration frame.  [Bram_seg]
+    is content frame [k] (of {!Zoomie_fabric.Geometry.bram_content_frames_per_tile})
+    of the block at ([block_row], [block_col]) of memory [mi]: entries
+    [block_row*1024 ..], bits [block_col*36 ..].  [Lutram_seg] is the
+    64-entry slice [depth_unit] of data bit [bit] of memory [mi], held
+    in CLB tile [tile]. *)
+type mem_segment =
+  | Bram_seg of { mi : int; block_row : int; block_col : int; k : int }
+  | Lutram_seg of { mi : int; bit : int; depth_unit : int; tile : int }
+
 (** The state bits resident in one configuration frame (reverse of the
     locmap): precomputed per design so capture/restore touch only the
-    frames a readback actually transfers. *)
+    frames a readback actually transfers.  Memories are indexed by
+    segment, so building the index is O(FFs + memory sites). *)
 type frame_bits = {
   fb_ffs : (int * int * int) array;  (** ff index, frame word, frame bit *)
-  fb_mems : (int * int * int * int * int) array;
-      (** mem index, addr, mem bit, frame word, frame bit *)
+  fb_mems : mem_segment array;  (** only segments holding at least one bit *)
 }
 
 type t = {
@@ -170,6 +180,23 @@ val iter_slr_mem_bits :
   fbit:int ->
   Netsim.t ->
   unit) ->
+  unit
+
+(** The per-SLR frame-key -> state-bits index of the loaded design,
+    built on first use and cached until the next {!load}.  It covers
+    the same bits as {!iter_slr_ffs}/{!iter_slr_mem_bits} with the GSR
+    restriction lifted; capture and restore apply the restriction per
+    frame.  @raise Invalid_argument if nothing is loaded. *)
+val frame_index : t -> (Frames.key, frame_bits) Hashtbl.t array
+
+(** [iter_segment mems seg f] calls [f mi addr bit word fbit] for every
+    bit of [seg] inside its memory's depth and width: memory coordinates
+    ([mi], [addr], [bit]) and frame coordinates ([word], [fbit]).
+    [mems] is the netlist's memory array. *)
+val iter_segment :
+  Netlist.mem array ->
+  mem_segment ->
+  (int -> int -> int -> int -> int -> unit) ->
   unit
 
 (** GCAPTURE on one SLR, eagerly: snapshot live FF/memory state into its

@@ -323,15 +323,29 @@ let timeline_session (s : Session.t) host be =
     s.Session.tl <- Some ts;
     ts
 
-(* Run one REPL command — through the session's timeline layer, so the
-   time-travel verbs work over the hub — mapping the engine's exceptions
-   to Failed. *)
-let exec_command ts cmd =
-  try Protocol.Done (Timeline.execute ts cmd) with
-  | Invalid_argument msg -> Protocol.Failed msg
-  | Readback.Readback_error msg -> Protocol.Failed msg
+(* The per-request error boundary: whatever serving a request raises
+   becomes that request's [Failed] answer, so no client input unwinds
+   the hub (and with it a farm shard's domain).  The engine's own typed
+   errors keep their messages; anything else — a [Sys_error] from a
+   [save] to an unwritable path, say — is answered by constructor and
+   counted as a crash. *)
+let failure t = function
+  | Invalid_argument msg | Readback.Readback_error msg -> Protocol.Failed msg
   | Readback.Bad_snapshot msg -> Protocol.Failed ("bad snapshot: " ^ msg)
   | Timeline.Bad_recording msg -> Protocol.Failed ("bad recording: " ^ msg)
+  | e ->
+    t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
+    let msg =
+      match e with
+      | Sys_error msg | Failure msg -> msg
+      | e -> Printexc.to_string e
+    in
+    Protocol.Failed (Printexc.exn_slot_name e ^ ": " ^ msg)
+
+(* Run one REPL command — through the session's timeline layer, so the
+   time-travel verbs work over the hub. *)
+let exec_command t ts cmd =
+  try Protocol.Done (Timeline.execute ts cmd) with e -> failure t e
 
 (* Session-lifecycle ops: no cable traffic, never block. *)
 let run_control t be acc (p : Scheduler.pending) =
@@ -345,7 +359,7 @@ let run_control t be acc (p : Scheduler.pending) =
             (Host.attach ~site_map:be.be_site_map be.be_board ~info:be.be_info
                ~mut_path);
         Protocol.Done ("attached " ^ mut_path)
-      with Invalid_argument msg -> Protocol.Failed msg)
+      with e -> failure t e)
     | Protocol.Detach ->
       s.Session.host <- None;
       s.Session.tl <- None;
@@ -394,43 +408,50 @@ let run_reads t be acc (reads : Scheduler.pending list) =
               ~seq:p.Scheduler.p_seq ~names
           with
           | Ok r -> (p, Either.Right r)
-          | Error msg -> (p, Either.Left (Protocol.Failed msg)))
+          | Error msg -> (p, Either.Left (Protocol.Failed msg))
+          | exception e -> (p, Either.Left (failure t e)))
         | Some host, Protocol.Command cmd ->
           if cmd = Repl.Status then
             t.stats.Stats.status_polls <- t.stats.Stats.status_polls + 1;
-          (p, Either.Left (exec_command (timeline_session s host be) cmd))
+          (p, Either.Left (exec_command t (timeline_session s host be) cmd))
         | Some _, _ -> (p, Either.Left (Protocol.Failed "not a read op")))
       reads
   in
   let requests = List.filter_map (fun (_, e) -> Either.find_right e) slots in
   let swept = Hashtbl.create 8 in
+  let sweep_failed = ref None in
   if requests <> [] then begin
-    let result = Coalesce.sweep be.be_board be.be_site_map requests in
-    t.stats.Stats.sweeps <- t.stats.Stats.sweeps + 1;
-    t.stats.Stats.coalesced_reads <-
-      t.stats.Stats.coalesced_reads + List.length requests;
-    t.stats.Stats.frames_read <-
-      t.stats.Stats.frames_read + result.Coalesce.sw_frames_read;
-    t.stats.Stats.frames_requested <-
-      t.stats.Stats.frames_requested + result.Coalesce.sw_frames_requested;
-    t.stats.Stats.cable_seconds <-
-      t.stats.Stats.cable_seconds +. result.Coalesce.sw_seconds;
-    t.stats.Stats.serial_cable_seconds <-
-      t.stats.Stats.serial_cable_seconds +. result.Coalesce.sw_serial_seconds;
-    List.iter
-      (fun (session, seq, values) ->
-        Hashtbl.replace swept (session, seq) values)
-      result.Coalesce.sw_values
+    match Coalesce.sweep be.be_board be.be_site_map requests with
+    | exception e -> sweep_failed := Some (failure t e)
+    | result ->
+      t.stats.Stats.sweeps <- t.stats.Stats.sweeps + 1;
+      t.stats.Stats.coalesced_reads <-
+        t.stats.Stats.coalesced_reads + List.length requests;
+      t.stats.Stats.frames_read <-
+        t.stats.Stats.frames_read + result.Coalesce.sw_frames_read;
+      t.stats.Stats.frames_requested <-
+        t.stats.Stats.frames_requested + result.Coalesce.sw_frames_requested;
+      t.stats.Stats.cable_seconds <-
+        t.stats.Stats.cable_seconds +. result.Coalesce.sw_seconds;
+      t.stats.Stats.serial_cable_seconds <-
+        t.stats.Stats.serial_cable_seconds +. result.Coalesce.sw_serial_seconds;
+      List.iter
+        (fun (session, seq, values) ->
+          Hashtbl.replace swept (session, seq) values)
+        result.Coalesce.sw_values
   end;
   List.fold_left
     (fun acc ((p : Scheduler.pending), slot) ->
       match slot with
       | Either.Left payload -> respond t acc p payload
-      | Either.Right _ ->
-        let values =
-          Hashtbl.find swept (p.Scheduler.p_session, p.Scheduler.p_seq)
-        in
-        respond t acc p (Protocol.Values values))
+      | Either.Right _ -> (
+        match !sweep_failed with
+        | Some payload -> respond t acc p payload
+        | None ->
+          let values =
+            Hashtbl.find swept (p.Scheduler.p_session, p.Scheduler.p_seq)
+          in
+          respond t acc p (Protocol.Values values)))
     acc slots
 
 (* Fan a latched stop out to every subscriber: one status readback by the
@@ -556,7 +577,7 @@ let tick t =
                           respond t acc p (Protocol.Failed "not attached")
                         | Some host, Protocol.Command cmd ->
                           respond t acc p
-                            (exec_command (timeline_session s host be) cmd)
+                            (exec_command t (timeline_session s host be) cmd)
                         | Some _, _ ->
                           respond t acc p (Protocol.Failed "not a mutate op"))
                       acc mutators)

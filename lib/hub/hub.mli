@@ -99,7 +99,10 @@ val remove_board : t -> int -> (Board.t, string) result
 val submit : t -> Protocol.request Protocol.frame -> (unit, string) result
 
 (** Advance the hub one tick; returns the responses produced, in grant
-    order. *)
+    order.  Never raises on a request's behalf: an exception from serving
+    one becomes its [Failed] response ([Failed "<constructor>: msg"] for
+    anything but the engine's typed errors, counted in
+    [Stats.crashes]). *)
 val tick : t -> Protocol.response Protocol.frame list
 
 (** Pending events for one session, in delivery order (empties its

@@ -9,6 +9,7 @@ type t = {
   mutable rejected : int;  (** refused by admission control *)
   mutable lock_conflicts : int;  (** mutators deferred behind another session *)
   mutable timeouts : int;  (** sessions reaped idle *)
+  mutable crashes : int;  (** requests that raised, answered [Failed] *)
   mutable sweeps : int;  (** merged readback sweeps executed *)
   mutable coalesced_reads : int;  (** read requests served by those sweeps *)
   mutable frames_read : int;  (** frames actually swept (union) *)
@@ -32,6 +33,7 @@ let create () =
     rejected = 0;
     lock_conflicts = 0;
     timeouts = 0;
+    crashes = 0;
     sweeps = 0;
     coalesced_reads = 0;
     frames_read = 0;
@@ -60,8 +62,8 @@ let summary t =
     [
       Printf.sprintf "ticks=%d requests=%d responses=%d rejected=%d" t.ticks
         t.requests t.responses t.rejected;
-      Printf.sprintf "lock_conflicts=%d timeouts=%d" t.lock_conflicts
-        t.timeouts;
+      Printf.sprintf "lock_conflicts=%d timeouts=%d crashes=%d"
+        t.lock_conflicts t.timeouts t.crashes;
       Printf.sprintf
         "sweeps=%d coalesced_reads=%d frames_read=%d frames_requested=%d"
         t.sweeps t.coalesced_reads t.frames_read t.frames_requested;
@@ -92,6 +94,7 @@ let g_responses = Obs.gauge "hub.responses"
 let g_rejected = Obs.gauge "hub.rejected"
 let g_lock_conflicts = Obs.gauge "hub.lock_conflicts"
 let g_timeouts = Obs.gauge "hub.timeouts"
+let g_crashes = Obs.gauge "hub.crashes"
 let g_sweeps = Obs.gauge "hub.sweeps"
 let g_coalesced_reads = Obs.gauge "hub.coalesced_reads"
 let g_frames_read = Obs.gauge "hub.frames_read"
@@ -115,6 +118,7 @@ type mirror = {
   m_rejected : Obs.gauge;
   m_lock_conflicts : Obs.gauge;
   m_timeouts : Obs.gauge;
+  m_crashes : Obs.gauge;
   m_sweeps : Obs.gauge;
   m_coalesced_reads : Obs.gauge;
   m_frames_read : Obs.gauge;
@@ -136,6 +140,7 @@ let mirror prefix =
     m_rejected = g "hub.rejected";
     m_lock_conflicts = g "hub.lock_conflicts";
     m_timeouts = g "hub.timeouts";
+    m_crashes = g "hub.crashes";
     m_sweeps = g "hub.sweeps";
     m_coalesced_reads = g "hub.coalesced_reads";
     m_frames_read = g "hub.frames_read";
@@ -156,6 +161,7 @@ let publish_to m t =
   Obs.set_gauge m.m_rejected (fi t.rejected);
   Obs.set_gauge m.m_lock_conflicts (fi t.lock_conflicts);
   Obs.set_gauge m.m_timeouts (fi t.timeouts);
+  Obs.set_gauge m.m_crashes (fi t.crashes);
   Obs.set_gauge m.m_sweeps (fi t.sweeps);
   Obs.set_gauge m.m_coalesced_reads (fi t.coalesced_reads);
   Obs.set_gauge m.m_frames_read (fi t.frames_read);
@@ -175,6 +181,7 @@ let publish t =
   Obs.set_gauge g_rejected (fi t.rejected);
   Obs.set_gauge g_lock_conflicts (fi t.lock_conflicts);
   Obs.set_gauge g_timeouts (fi t.timeouts);
+  Obs.set_gauge g_crashes (fi t.crashes);
   Obs.set_gauge g_sweeps (fi t.sweeps);
   Obs.set_gauge g_coalesced_reads (fi t.coalesced_reads);
   Obs.set_gauge g_frames_read (fi t.frames_read);

@@ -9,6 +9,9 @@ type t = {
   mutable rejected : int;  (** refused by admission control *)
   mutable lock_conflicts : int;  (** mutators deferred behind another session *)
   mutable timeouts : int;  (** sessions reaped idle *)
+  mutable crashes : int;
+      (** requests whose engine raised an unexpected exception (each
+          answered [Failed "<constructor>: msg"], the hub kept running) *)
   mutable sweeps : int;  (** merged readback sweeps executed *)
   mutable coalesced_reads : int;  (** read requests served by those sweeps *)
   mutable frames_read : int;  (** frames actually swept (union) *)

@@ -303,10 +303,10 @@ let span ?(cat = "zoomie") ?(mclock = no_mclock) name f =
     let parent = match tracer.stack with [] -> -1 | p :: _ -> p in
     let depth = List.length tracer.stack in
     tracer.stack <- seq :: tracer.stack;
-    let wall0 = Sys.time () in
+    let wall0 = Unix.gettimeofday () in
     let model0 = mclock () in
     let finish () =
-      let wall1 = Sys.time () in
+      let wall1 = Unix.gettimeofday () in
       let model1 = mclock () in
       (match tracer.stack with
       | s :: rest when s = seq -> tracer.stack <- rest

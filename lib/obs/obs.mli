@@ -4,8 +4,9 @@
     subsystem the span covers (JTAG cable seconds, compile seconds) so
     traces are reproducible in tests.
 
-    Dependency-free by design: every library in the stack can link it,
-    including the ones at the bottom of the dependency order.  Hot paths
+    Needs only the standard library and [unix] (for the wall clock), so
+    every library in the stack can link it, including the ones at the
+    bottom of the dependency order.  Hot paths
     hold handles ([counter]/[gauge]/[histogram] values), so recording is
     O(1) with no name lookup; [span] with tracing disabled is a single
     branch around the thunk. *)
@@ -73,8 +74,9 @@ type span = {
   sp_cat : string;
   sp_depth : int;  (** 0 for roots *)
   sp_parent : int;  (** [sp_seq] of the enclosing span, -1 for roots *)
-  sp_wall_start : float;
+  sp_wall_start : float;  (** [Unix.gettimeofday] at entry, seconds *)
   sp_wall_dur : float;
+      (** wall seconds across the scope, blocking and sleeps included *)
   sp_model_start : float;  (** modeled clock sampled at entry *)
   sp_model_dur : float;  (** modeled clock delta across the scope *)
 }

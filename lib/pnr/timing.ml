@@ -221,25 +221,6 @@ let analyze ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
   }
 
 
-(** Flat-array evaluation of the same model: bit-for-bit identical to
-    {!analyze} (same float expressions, same endpoint sequence, and a
-    leaderboard hashtable built by the same insertion sequence), but with
-    an int-array producer table and an iterative topological pass instead
-    of the recursive walk.  Returns [None] — caller falls back to
-    {!analyze} — when a net has several combinational producers or the
-    LUT/DSP graph has a cycle, where the seed's DFS order becomes
-    semantically load-bearing. *)
-let phase_timers = Sys.getenv_opt "ZOOMIE_VTI_TIMINGS" <> None
-
-let phase name f =
-  if not phase_timers then f ()
-  else begin
-    let t0 = Sys.time () in
-    let r = f () in
-    Printf.eprintf "[timing]   %-18s %6.2fs\n%!" name (Sys.time () -. t0);
-    r
-  end
-
 (* Scratch buffers for {!analyze_fast}.  The VTI iteration loop re-times
    the whole design on every recompile; at manycore scale, allocating and
    zeroing these multi-megaword arrays costs more than the analysis
@@ -328,6 +309,14 @@ let scratch_edges sc edges =
     sc.sc_out_edges <- Array.make edges 0
   end
 
+(** Flat-array evaluation of the same model: bit-for-bit identical to
+    {!analyze} (same float expressions, same endpoint sequence, and a
+    leaderboard hashtable built by the same insertion sequence), but with
+    an int-array producer table and an iterative topological pass instead
+    of the recursive walk.  Returns [None] — caller falls back to
+    {!analyze} — when a net has several combinational producers or the
+    LUT/DSP graph has a cycle, where the seed's DFS order becomes
+    semantically load-bearing. *)
 let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
     (locmap : Loc.map) : report option =
   let num_luts = Array.length n.Netlist.luts in
@@ -335,26 +324,24 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
   let num_cells = num_luts + num_dsps in
   let nets = max 1 n.Netlist.num_nets in
   let sc = Domain.DLS.get scratch_key in
-  phase "scratch" (fun () ->
-      scratch_nets sc nets;
-      scratch_cells sc (max 1 num_cells));
+  scratch_nets sc nets;
+  scratch_cells sc (max 1 num_cells);
   (* producer.(net) = 1 + cell index (LUTs first, DSPs after), 0 = none. *)
   let producer = sc.sc_producer in
   let single = ref true in
-  phase "producer" (fun () ->
-      Array.iteri
-        (fun i (l : Netlist.lut) ->
-          let o = l.Netlist.out in
-          if producer.(o) <> 0 then single := false else producer.(o) <- i + 1)
-        n.Netlist.luts;
-      Array.iteri
-        (fun i (d : Netlist.dsp) ->
-          Array.iter
-            (fun o ->
-              if producer.(o) <> 0 then single := false
-              else producer.(o) <- num_luts + i + 1)
-            d.Netlist.dsp_out)
-        n.Netlist.dsps);
+  Array.iteri
+    (fun i (l : Netlist.lut) ->
+      let o = l.Netlist.out in
+      if producer.(o) <> 0 then single := false else producer.(o) <- i + 1)
+    n.Netlist.luts;
+  Array.iteri
+    (fun i (d : Netlist.dsp) ->
+      Array.iter
+        (fun o ->
+          if producer.(o) <> 0 then single := false
+          else producer.(o) <- num_luts + i + 1)
+        d.Netlist.dsp_out)
+    n.Netlist.dsps;
   if not !single then None
   else begin
     let cong =
@@ -372,36 +359,34 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
       py.(net) <- y;
       Bytes.set placed net '\001'
     in
-    phase "seed" (fun () ->
-        Array.iteri
-          (fun i (f : Netlist.ff) ->
-            arrival.(f.Netlist.q) <- clk_to_q_ns;
-            let x, y = ff_pos locmap.Loc.ff_sites.(i) in
-            set_pos f.Netlist.q x y)
-          n.Netlist.ffs;
-        Array.iteri
-          (fun mi (m : Netlist.mem) ->
-            List.iter
-              (fun (r : Netlist.mem_read) ->
-                let x, y = mem_pos locmap mi in
-                Array.iter
-                  (fun net ->
-                    arrival.(net) <- clk_to_q_ns;
-                    set_pos net x y)
-                  r.Netlist.mr_out)
-              m.Netlist.mem_reads)
-          n.Netlist.mems);
+    Array.iteri
+      (fun i (f : Netlist.ff) ->
+        arrival.(f.Netlist.q) <- clk_to_q_ns;
+        let x, y = ff_pos locmap.Loc.ff_sites.(i) in
+        set_pos f.Netlist.q x y)
+      n.Netlist.ffs;
+    Array.iteri
+      (fun mi (m : Netlist.mem) ->
+        List.iter
+          (fun (r : Netlist.mem_read) ->
+            let x, y = mem_pos locmap mi in
+            Array.iter
+              (fun net ->
+                arrival.(net) <- clk_to_q_ns;
+                set_pos net x y)
+              r.Netlist.mr_out)
+          m.Netlist.mem_reads)
+      n.Netlist.mems;
     (* Cell positions. *)
     let cx = sc.sc_cx and cy = sc.sc_cy in
-    phase "cxy" (fun () ->
-        for i = 0 to num_cells - 1 do
-          let x, y =
-            if i < num_luts then lut_pos locmap.Loc.lut_sites.(i)
-            else dsp_pos locmap.Loc.dsp_sites.(i - num_luts)
-          in
-          cx.(i) <- x;
-          cy.(i) <- y
-        done);
+    for i = 0 to num_cells - 1 do
+      let x, y =
+        if i < num_luts then lut_pos locmap.Loc.lut_sites.(i)
+        else dsp_pos locmap.Loc.dsp_sites.(i - num_luts)
+      in
+      cx.(i) <- x;
+      cy.(i) <- y
+    done;
     let inputs_of i =
       if i < num_luts then n.Netlist.luts.(i).Netlist.inputs
       else
@@ -413,38 +398,34 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
     let indeg = sc.sc_indeg in
     let out_cnt = sc.sc_out_cnt in
     let out_off = sc.sc_out_off in
-    let out_edges =
-      phase "csr" (fun () ->
-          for i = 0 to num_cells - 1 do
-            Array.iter
-              (fun inp ->
-                let p = producer.(inp) in
-                if p <> 0 then begin
-                  indeg.(i) <- indeg.(i) + 1;
-                  out_cnt.(p - 1) <- out_cnt.(p - 1) + 1
-                end)
-              (inputs_of i)
-          done;
-          out_off.(0) <- 0;
-          for i = 0 to num_cells - 1 do
-            out_off.(i + 1) <- out_off.(i) + out_cnt.(i)
-          done;
-          scratch_edges sc (max 1 out_off.(num_cells));
-          let out_edges = sc.sc_out_edges in
-          let fill = sc.sc_fill in
-          Array.blit out_off 0 fill 0 (num_cells + 1);
-          for i = 0 to num_cells - 1 do
-            Array.iter
-              (fun inp ->
-                let p = producer.(inp) in
-                if p <> 0 then begin
-                  out_edges.(fill.(p - 1)) <- i;
-                  fill.(p - 1) <- fill.(p - 1) + 1
-                end)
-              (inputs_of i)
-          done;
-          out_edges)
-    in
+    for i = 0 to num_cells - 1 do
+      Array.iter
+        (fun inp ->
+          let p = producer.(inp) in
+          if p <> 0 then begin
+            indeg.(i) <- indeg.(i) + 1;
+            out_cnt.(p - 1) <- out_cnt.(p - 1) + 1
+          end)
+        (inputs_of i)
+    done;
+    out_off.(0) <- 0;
+    for i = 0 to num_cells - 1 do
+      out_off.(i + 1) <- out_off.(i) + out_cnt.(i)
+    done;
+    scratch_edges sc (max 1 out_off.(num_cells));
+    let out_edges = sc.sc_out_edges in
+    let fill = sc.sc_fill in
+    Array.blit out_off 0 fill 0 (num_cells + 1);
+    for i = 0 to num_cells - 1 do
+      Array.iter
+        (fun inp ->
+          let p = producer.(inp) in
+          if p <> 0 then begin
+            out_edges.(fill.(p - 1)) <- i;
+            fill.(p - 1) <- fill.(p - 1) + 1
+          end)
+        (inputs_of i)
+    done;
     let queue = sc.sc_queue in
     let qhead = ref 0 and qtail = ref 0 in
     for i = 0 to num_cells - 1 do
@@ -454,44 +435,43 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
       end
     done;
     let processed = ref 0 in
-    phase "kahn" (fun () ->
-        while !qhead < !qtail do
-          let i = queue.(!qhead) in
-          incr qhead;
-          incr processed;
-          let mx = cx.(i) and my = cy.(i) in
-          let delay = if i < num_luts then lut_delay_ns else dsp_delay_ns in
-          let worst = ref 0.0 and worst_level = ref 0 in
-          Array.iter
-            (fun inp ->
-              let d =
-                if Bytes.get placed inp = '\001' then
-                  Float.abs (px.(inp) -. mx) +. (Float.abs (py.(inp) -. my) /. 8.0)
-                else 0.0
-              in
-              let a = arrival.(inp) +. wire d in
-              if a > !worst then worst := a;
-              if level.(inp) > !worst_level then worst_level := level.(inp))
-            (inputs_of i);
-          let outs =
-            if i < num_luts then [| n.Netlist.luts.(i).Netlist.out |]
-            else n.Netlist.dsps.(i - num_luts).Netlist.dsp_out
+    while !qhead < !qtail do
+      let i = queue.(!qhead) in
+      incr qhead;
+      incr processed;
+      let mx = cx.(i) and my = cy.(i) in
+      let delay = if i < num_luts then lut_delay_ns else dsp_delay_ns in
+      let worst = ref 0.0 and worst_level = ref 0 in
+      Array.iter
+        (fun inp ->
+          let d =
+            if Bytes.get placed inp = '\001' then
+              Float.abs (px.(inp) -. mx) +. (Float.abs (py.(inp) -. my) /. 8.0)
+            else 0.0
           in
-          Array.iter
-            (fun out ->
-              arrival.(out) <- !worst +. delay;
-              level.(out) <- !worst_level + 1;
-              set_pos out mx my)
-            outs;
-          for e = out_off.(i) to out_off.(i + 1) - 1 do
-            let j = out_edges.(e) in
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then begin
-              queue.(!qtail) <- j;
-              incr qtail
-            end
-          done
-        done);
+          let a = arrival.(inp) +. wire d in
+          if a > !worst then worst := a;
+          if level.(inp) > !worst_level then worst_level := level.(inp))
+        (inputs_of i);
+      let outs =
+        if i < num_luts then [| n.Netlist.luts.(i).Netlist.out |]
+        else n.Netlist.dsps.(i - num_luts).Netlist.dsp_out
+      in
+      Array.iter
+        (fun out ->
+          arrival.(out) <- !worst +. delay;
+          level.(out) <- !worst_level + 1;
+          set_pos out mx my)
+        outs;
+      for e = out_off.(i) to out_off.(i + 1) - 1 do
+        let j = out_edges.(e) in
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then begin
+          queue.(!qtail) <- j;
+          incr qtail
+        end
+      done
+    done;
     if !processed < num_cells then None (* combinational cycle *)
     else begin
       (* Endpoint pass: identical sequence of (name, slack) updates as
@@ -515,7 +495,6 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
           worst_levels := level.(net)
         end
       in
-      phase "endpoints" (fun () ->
       Array.iteri
         (fun i (f : Netlist.ff) ->
           let p = ff_pos locmap.Loc.ff_sites.(i) in
@@ -527,7 +506,7 @@ let analyze_fast ?(congestion = 1.0) ?(utilization = 0.0) (n : Netlist.t)
           match f.Netlist.ce with
           | Some ce -> endpoint (name ^ "/CE") ce p
           | None -> ())
-        n.Netlist.ffs);
+        n.Netlist.ffs;
       Array.iteri
         (fun mi (m : Netlist.mem) ->
           let p = mem_pos locmap mi in

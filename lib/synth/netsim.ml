@@ -862,6 +862,15 @@ let set_mem_bit t mi ~addr ~bit v =
     Array.iter (fun c -> enqueue t c) t.p.C.mem_readers.(mi)
   end
 
+let copy_mem t mi ~src ~src_mi =
+  let st = t.mem_states.(mi) and from = src.mem_states.(src_mi) in
+  if st.width <> from.width || st.depth <> from.depth then
+    invalid_arg "Netsim.copy_mem: memory geometry differs";
+  if not (Bytes.equal st.data from.data) then begin
+    Bytes.blit from.data 0 st.data 0 (Bytes.length st.data);
+    Array.iter (fun c -> enqueue t c) t.p.C.mem_readers.(mi)
+  end
+
 (** Read back a register by its RTL hierarchical name (via ff_names
     metadata), returning its multi-bit value. *)
 let read_register t name =

@@ -114,6 +114,12 @@ val mem_bit : t -> int -> addr:int -> bit:int -> bool
 
 val set_mem_bit : t -> int -> addr:int -> bit:int -> bool -> unit
 
+(** [copy_mem t mi ~src ~src_mi] overwrites memory [mi] with the contents
+    of memory [src_mi] of [src] in one blit, enqueueing its readers when
+    anything changed (as {!set_mem_bit} does per bit).
+    @raise Invalid_argument if the two memories differ in width or depth. *)
+val copy_mem : t -> int -> src:t -> src_mi:int -> unit
+
 (** {1 State, by RTL name}
 
     Multi-bit registers are reassembled from their per-bit FF cells;

@@ -119,11 +119,6 @@ let payload project netlist locmap =
     freq_mhz = project.freq_mhz;
   }
 
-(* Per-stage CPU-time attribution to stderr when ZOOMIE_VTI_TIMINGS is
-   set in the environment; lets the bench harness (and a curious user)
-   see where an incremental recompile spends its time. *)
-let timers = Sys.getenv_opt "ZOOMIE_VTI_TIMINGS" <> None
-
 module Obs = Zoomie_obs.Obs
 
 (* Compile-flow observability: which path a recompile took (splice vs
@@ -135,17 +130,9 @@ let obs_relink_splice = Obs.counter "vti.relink_splice"
 let obs_full_link = Obs.counter "vti.full_link"
 let obs_pool_depth = Obs.gauge "vti.pool_queue_depth"
 
-(* Every timed phase is also a trace span, so `zoomie --trace` shows the
-   recompile pipeline without the env var. *)
-let timed name f =
-  Obs.span ~cat:"vti" ("vti." ^ name) (fun () ->
-      if not timers then f ()
-      else begin
-        let t0 = Sys.time () in
-        let r = f () in
-        Printf.eprintf "[vti] %-24s %7.2fs\n%!" name (Sys.time () -. t0);
-        r
-      end)
+(* Every compile phase is a trace span, so `zoomie --trace` shows where
+   a compile or recompile spends its time. *)
+let timed name f = Obs.span ~cat:"vti" ("vti." ^ name) f
 
 (* Pool fan-out, with the submitted array length recorded as the queue
    depth (from the calling domain only — workers never touch obs). *)
@@ -566,7 +553,6 @@ exception Partition_overflow of string
     usable afterwards (every cache update is functional or append-only) —
     in particular after a {!Partition_overflow}. *)
 let recompile (prev : build) ~path ~(circuit : Circuit.t) : build =
-  let rc_t0 = Sys.time () in
   let project = prev.project in
   let region =
     match List.assoc_opt path prev.partition_regions with
@@ -636,8 +622,6 @@ let recompile (prev : build) ~path ~(circuit : Circuit.t) : build =
           | None -> None
           | Some (netlist, index') -> Some (fs, netlist, index')))
   in
-  if timers && spliced = None then
-    Printf.eprintf "[vti] splice unavailable -> full link fallback\n%!";
   Obs.incr (if spliced = None then obs_full_link else obs_relink_splice);
   let netlist, route, fast =
     match spliced with
@@ -739,8 +723,6 @@ let recompile (prev : build) ~path ~(circuit : Circuit.t) : build =
   let wall =
     Cost_model.tool_startup_s +. Cost_model.total part_cost +. link_overhead_s
   in
-  if timers then
-    Printf.eprintf "[vti] %-24s %7.2fs\n%!" "TOTAL (cpu)" (Sys.time () -. rc_t0);
   {
     prev with
     stamps;

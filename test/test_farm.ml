@@ -261,6 +261,41 @@ let test_socket_matches_inprocess () =
   Alcotest.(check (list string))
     "loopback == in-process" oracle_lines farm_lines
 
+(* A request that raises inside the hub must not take its shard's domain
+   down: over a socket to a running shard, a [save] to an unwritable path
+   answers [Failed "Sys_error: ..."] and the same session's next request
+   on the same board is served. *)
+let test_shard_survives_failing_request () =
+  let router = Router.create ~config:(farm_config ()) ~fleet:(mk_fleet 1) () in
+  Router.start router;
+  let srv = Net.serve ~router (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.shutdown srv;
+      Router.stop router)
+    (fun () ->
+      let c = Net.Client.connect (Net.bound_addr srv) in
+      (match Net.Client.open_session c with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "client open: %s" msg);
+      let call req =
+        match Net.Client.call c req with
+        | Ok r -> r.Protocol.fr_payload
+        | Error msg -> Alcotest.failf "client call: %s" msg
+      in
+      (match call (Protocol.Attach "dut") with
+      | Protocol.Done _ -> ()
+      | _ -> Alcotest.fail "attach");
+      (match call (Protocol.Command (Repl.Save (Test_hub.unwritable "x.snap"))) with
+      | Protocol.Failed msg ->
+        Alcotest.(check bool) "answered by constructor" true
+          (String.length msg > 11 && String.sub msg 0 11 = "Sys_error: ")
+      | _ -> Alcotest.fail "save to an unwritable path must fail");
+      (match call (Protocol.Read_registers [ "count" ]) with
+      | Protocol.Values _ -> ()
+      | _ -> Alcotest.fail "shard still serves the board");
+      Net.Client.close c)
+
 (* --- admission control / backpressure --------------------------------- *)
 
 let test_inbox_busy_never_blocks () =
@@ -526,4 +561,6 @@ let suite =
     Alcotest.test_case "migration survives the idle reaper" `Quick
       test_migration_survives_reaper;
     QCheck_alcotest.to_alcotest prop_migrated_transcript;
+    Alcotest.test_case "shard survives a failing request" `Quick
+      test_shard_survives_failing_request;
   ]

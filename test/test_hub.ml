@@ -678,6 +678,51 @@ let test_timeline_verbs_over_hub () =
       Repl.When_did "count";
     ]
 
+(* --- the per-request error boundary ------------------------------------ *)
+
+(* A file path whose directory does not exist: every write to it raises
+   [Sys_error]. *)
+let unwritable name =
+  Filename.concat
+    (Filename.concat (Filename.get_temp_dir_name ()) "zoomie-no-such-dir")
+    name
+
+let expect_failed_with ~prefix what (r : Protocol.response Protocol.frame) =
+  match r.Protocol.fr_payload with
+  | Protocol.Failed msg ->
+    Alcotest.(check string)
+      (what ^ ": answered by constructor")
+      prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  | _ -> Alcotest.failf "%s: expected Failed" what
+
+(* File verbs to an unwritable path used to raise [Sys_error] straight
+   out of [Hub.tick]; each must now answer [Failed "Sys_error: ..."],
+   count one crash, and leave the board serving the next request. *)
+let test_request_error_boundary () =
+  let hub, _board, _info, bid = hub_rig () in
+  let sid = attached hub bid in
+  expect_done "record" (Hub.call hub (Protocol.frame sid 1 (Protocol.Command (Repl.Record None))));
+  List.iteri
+    (fun i cmd ->
+      let seq = 10 + (2 * i) in
+      expect_failed_with ~prefix:"Sys_error: " (Repl.command_to_string cmd)
+        (Hub.call hub (Protocol.frame sid seq (Protocol.Command cmd)));
+      Alcotest.(check int) "crash counted" (i + 1) (Hub.stats hub).Stats.crashes;
+      expect_done "next request on the same board"
+        (Hub.call hub (Protocol.frame sid (seq + 1) (Protocol.Command (Repl.Step 2)))))
+    [
+      Repl.Save (unwritable "x.snap");
+      Repl.Record_save (unwritable "x.zrec");
+      Repl.Trace_dump (unwritable "x.json");
+    ];
+  match
+    (Hub.call hub (Protocol.frame sid 40 (Protocol.Read_registers [ "count" ])))
+      .Protocol.fr_payload
+  with
+  | Protocol.Values _ -> ()
+  | _ -> Alcotest.fail "reads still served after the failures"
+
 let suite =
   [
     Alcotest.test_case "wire requests round-trip" `Quick test_request_roundtrip;
@@ -702,4 +747,5 @@ let suite =
     Alcotest.test_case "timeline verbs over the hub" `Quick
       test_timeline_verbs_over_hub;
     QCheck_alcotest.to_alcotest prop_hub_matches_oracle;
+    Alcotest.test_case "request error boundary" `Quick test_request_error_boundary;
   ]

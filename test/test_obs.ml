@@ -121,6 +121,20 @@ let test_span_nesting () =
     Alcotest.(check bool) "outer dur" true (o.Obs.sp_model_dur = 1.75)
   | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l)
 
+(* Span wall time is the wall clock: a span around a sleep covers the
+   sleep (a CPU-time clock would record almost nothing). *)
+let test_span_wall_clock_covers_sleep () =
+  Obs.reset ();
+  Obs.set_tracing true;
+  Obs.span "sleep" (fun () -> Unix.sleepf 0.05);
+  Obs.set_tracing false;
+  match Obs.spans () with
+  | [ sp ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "wall %.4f s >= 0.05 s" sp.Obs.sp_wall_dur)
+      true (sp.Obs.sp_wall_dur >= 0.05)
+  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
+
 let test_tracing_disabled_records_nothing () =
   Obs.reset ();
   let r = Obs.span "quiet" (fun () -> 3) in
@@ -559,4 +573,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tracing_transparent;
     Alcotest.test_case "vti build unaffected by tracing" `Slow
       test_vti_tracing_transparent;
+    Alcotest.test_case "span wall clock covers a sleep" `Quick
+      test_span_wall_clock_covers_sleep;
   ]

@@ -591,3 +591,447 @@ let suite =
       Alcotest.test_case "checkpoint header mismatches rejected" `Quick
         test_checkpoint_header_mismatches;
     ]
+
+(* --- the board's frame -> state index vs the per-bit reference walk ---
+
+   [Board.frame_index] stores memories as (site, frame) segments expanded
+   in closed form at use time.  These tests pin it to the per-bit
+   [iter_slr_ffs]/[iter_slr_mem_bits] walk: as a map from frame bits to
+   state bits, through capture (frame fill) and through GRESTORE, after a
+   full load and after a partial load that leaves the GSR restriction
+   set.  Doctored indexes must be rejected by the same comparator. *)
+
+module Netsim = Zoomie_synth.Netsim
+module Netlist = Zoomie_synth.Netlist
+module Frames = Zoomie_bitstream.Frames
+module Uc = Zoomie_bitstream.Uc
+module Loc = Zoomie_fabric.Loc
+module Geometry = Zoomie_fabric.Geometry
+
+let clog2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  max 1 (go 0)
+
+(* Three written-only memories: [buf] is block RAM whose last block
+   column and block row are partial at the default 50 x 1500, [lut] is a
+   LUTRAM whose last 64-entry unit is partial at 5 x 100, and [same] a
+   two-block-row BRAM. *)
+let odd_mems_design ?(buf = (50, 1500)) ?(lut = (5, 100)) () =
+  let b = Builder.create "odd_mems" in
+  let clk = Builder.clock b "clk" in
+  let we = Builder.input b "we" 1 in
+  let ptr =
+    Builder.reg_fb b ~clock:clk "ptr" 11 ~next:(fun q ->
+        Expr.(q +: const_int ~width:11 1))
+  in
+  let data =
+    Builder.reg_fb b ~clock:clk "data" 60 ~next:(fun q ->
+        Expr.(q +: const_int ~width:60 0x9E3779B9))
+  in
+  let mem name (width, depth) =
+    Builder.memory b ~name ~width ~depth
+      ~writes:
+        [
+          {
+            Circuit.w_clock = clk;
+            w_enable = we;
+            w_addr = Expr.Slice (Expr.Signal ptr, clog2 depth - 1, 0);
+            w_data = Expr.Slice (Expr.Signal data, width - 1, 0);
+          };
+        ]
+      ~reads:[] ()
+  in
+  mem "buf" buf;
+  mem "lut" lut;
+  mem "same" (40, 1100);
+  ignore (Builder.output b "ptr_out" 11 (Expr.Signal ptr));
+  Design.create ~top:"odd_mems" [ Builder.finish b ]
+
+let odd_mems_run ?buf ?lut () =
+  Zoomie_vendor.Vivado.compile
+    {
+      Zoomie_vendor.Vivado.device = Device.u200 ();
+      design = odd_mems_design ?buf ?lut ();
+      clock_root = "clk";
+      freq_mhz = 50.0;
+      replicated_units = [];
+    }
+
+let odd_mems_board () =
+  let board = Board.create (Device.u200 ()) in
+  Zoomie_vendor.Vivado.load_onto board (odd_mems_run ());
+  board
+
+let mem_index (nl : Netlist.t) name =
+  let r = ref (-1) in
+  Array.iteri (fun i (m : Netlist.mem) -> if m.Netlist.mem_name = name then r := i) nl.Netlist.mems;
+  if !r < 0 then Alcotest.failf "no memory %S" name;
+  !r
+
+let randomize_state st board =
+  let sim = Board.netsim board in
+  let nl = (Board.payload board).Board.netlist in
+  Array.iteri (fun i _ -> Netsim.set_ff sim i (Random.State.bool st)) nl.Netlist.ffs;
+  Array.iteri
+    (fun mi (m : Netlist.mem) ->
+      for addr = 0 to m.Netlist.mem_depth - 1 do
+        for bit = 0 to m.Netlist.mem_width - 1 do
+          Netsim.set_mem_bit sim mi ~addr ~bit (Random.State.bool st)
+        done
+      done)
+    nl.Netlist.mems
+
+type state_bit = Ff of int | Mem of int * int * int  (* mi, addr, bit *)
+
+(* Sorted (frame key, word, bit) -> state bit pairs of one SLR. *)
+let walk_pairs board ~slr =
+  let acc = ref [] in
+  Board.iter_slr_ffs board ~slr (fun i site _ ->
+      let minor, word, bit = Loc.ff_frame_bit site in
+      acc := (((site.Loc.f_row, site.Loc.f_col, minor), word, bit), Ff i) :: !acc);
+  Board.iter_slr_mem_bits board ~slr (fun ~mi ~addr ~bit ~key ~word ~fbit _ ->
+      acc := ((key, word, fbit), Mem (mi, addr, bit)) :: !acc);
+  List.sort compare !acc
+
+(* The frames an index would touch on [slr] under the board's current
+   CTL0 restriction, and the pairs its entries expand to. *)
+let visible board ~slr (row, col, _) =
+  (not (Uc.gsr_restricted (Board.uc board slr)))
+  || Region.contains_any board.Board.dynamic_regions ~slr ~row ~col
+
+let index_pairs board (idx : (Frames.key, Board.frame_bits) Hashtbl.t array) ~slr =
+  let mems = (Board.payload board).Board.netlist.Netlist.mems in
+  let keys = ref [] and acc = ref [] in
+  Hashtbl.iter
+    (fun key (fb : Board.frame_bits) ->
+      if visible board ~slr key then begin
+        keys := key :: !keys;
+        Array.iter
+          (fun (i, word, bit) -> acc := ((key, word, bit), Ff i) :: !acc)
+          fb.Board.fb_ffs;
+        Array.iter
+          (fun seg ->
+            Board.iter_segment mems seg (fun mi addr bit word fbit ->
+                acc := ((key, word, fbit), Mem (mi, addr, bit)) :: !acc))
+          fb.Board.fb_mems
+      end)
+    idx.(slr);
+  (List.sort_uniq compare !keys, List.sort compare !acc)
+
+let random_frame st =
+  Array.init Geometry.words_per_frame (fun _ ->
+      (Random.State.bits st lsl 2) lor Random.State.int st 4)
+
+let keys_of pairs = List.sort_uniq compare (List.map (fun ((key, _, _), _) -> key) pairs)
+
+(* The comparator: [idx] covers exactly the walk's bits on every SLR —
+   same frame bit -> state bit map, no frame outside the walk's. *)
+let index_agrees board idx =
+  List.for_all
+    (fun slr ->
+      let walk = walk_pairs board ~slr in
+      let keys, pairs = index_pairs board idx ~slr in
+      pairs = walk && keys = keys_of walk)
+    (List.init (Array.length board.Board.ucs) Fun.id)
+
+(* Planted faults: [idx] with the first segment (in key order) of a
+   frame visible on [board] that [doctor] changes replaced by its
+   doctored twin. *)
+let doctored board idx doctor =
+  let out = Array.map Hashtbl.copy idx in
+  let planted = ref false in
+  Array.iteri
+    (fun slr tbl ->
+      let keys =
+        Hashtbl.fold (fun k _ l -> if visible board ~slr k then k :: l else l) tbl []
+        |> List.sort compare
+      in
+      List.iter
+        (fun key ->
+          let fb : Board.frame_bits = Hashtbl.find tbl key in
+          Array.iteri
+            (fun j seg ->
+              if not !planted then
+                match doctor seg with
+                | None -> ()
+                | Some seg' ->
+                  planted := true;
+                  let segs = Array.copy fb.Board.fb_mems in
+                  segs.(j) <- seg';
+                  Hashtbl.replace tbl key { fb with Board.fb_mems = segs })
+            fb.Board.fb_mems)
+        keys)
+    out;
+  if not !planted then Alcotest.fail "no segment to doctor";
+  out
+
+(* Every state frame of [slr], visible or not: the walk's and the
+   index's. *)
+let state_keys board walk ~slr =
+  List.sort_uniq compare
+    (keys_of walk
+    @ Hashtbl.fold (fun k _ l -> k :: l) (Board.frame_index board).(slr) [])
+
+(* Capture through the index must produce, in every state frame, exactly
+   the frame the walk produces from the same starting contents (frames
+   the restriction hides stay as they were) — and touch no other frame. *)
+let check_fill st board =
+  let sim = Board.netsim board in
+  Array.iteri
+    (fun slr (u : Uc.t) ->
+      let walk = walk_pairs board ~slr in
+      let keys = state_keys board walk ~slr in
+      List.iter
+        (fun key ->
+          Frames.write_frame u.Uc.frames key
+            (random_frame st))
+        keys;
+      let expected = Frames.create () in
+      List.iter (fun key -> Frames.write_frame expected key (Frames.read_frame u.Uc.frames key)) keys;
+      List.iter
+        (fun ((key, word, bit), sb) ->
+          Frames.set_bit expected key ~word ~bit
+            (match sb with
+            | Ff i -> Netsim.ff_value sim i
+            | Mem (mi, addr, b) -> Netsim.mem_bit sim mi ~addr ~bit:b))
+        walk;
+      let allocated = Frames.allocated u.Uc.frames in
+      Board.capture_slr board slr;
+      Alcotest.(check int)
+        (Printf.sprintf "SLR %d: capture touched only walked frames" slr)
+        allocated (Frames.allocated u.Uc.frames);
+      List.iter
+        (fun key ->
+          if Frames.read_frame u.Uc.frames key <> Frames.read_frame expected key then
+            let r, c, m = key in
+            Alcotest.failf "SLR %d frame (%d,%d,%d): index fill != walk fill" slr r c m)
+        keys)
+    board.Board.ucs
+
+let live_state board =
+  let sim = Board.netsim board in
+  let nl = (Board.payload board).Board.netlist in
+  ( Array.init (Array.length nl.Netlist.ffs) (Netsim.ff_value sim),
+    Array.mapi
+      (fun mi (m : Netlist.mem) ->
+        Array.init (m.Netlist.mem_depth * m.Netlist.mem_width) (fun j ->
+            Netsim.mem_bit sim mi ~addr:(j / m.Netlist.mem_width)
+              ~bit:(j mod m.Netlist.mem_width)))
+      nl.Netlist.mems )
+
+(* GRESTORE of random contents in every state frame must set exactly
+   the FF and memory bits the walk names, from exactly the frame bits it
+   names. *)
+let check_restore st board =
+  let nl = (Board.payload board).Board.netlist in
+  Array.iteri
+    (fun slr (u : Uc.t) ->
+      let walk = walk_pairs board ~slr in
+      Uc.arm_capture u;
+      List.iter
+        (fun key ->
+          Frames.write_frame u.Uc.frames key
+            (random_frame st);
+          Uc.mark_dirty u key)
+        (state_keys board walk ~slr);
+      let ffs, mems = live_state board in
+      List.iter
+        (fun ((key, word, bit), sb) ->
+          let v = Frames.get_bit u.Uc.frames key ~word ~bit in
+          match sb with
+          | Ff i -> ffs.(i) <- v
+          | Mem (mi, addr, b) ->
+            mems.(mi).((addr * nl.Netlist.mems.(mi).Netlist.mem_width) + b) <- v)
+        walk;
+      Board.restore_slr board slr;
+      let ffs', mems' = live_state board in
+      Alcotest.(check bool)
+        (Printf.sprintf "SLR %d: restored FFs == walk" slr) true (ffs = ffs');
+      Alcotest.(check bool)
+        (Printf.sprintf "SLR %d: restored memories == walk" slr) true (mems = mems'))
+    board.Board.ucs
+
+(* [~bram:false] where no multi-column block RAM is visible (a VTI
+   partition of the manycore holds only LUTRAM). *)
+let check_twins ?(bram = true) board =
+  let idx = Board.frame_index board in
+  Alcotest.(check bool) "index == per-bit walk" true (index_agrees board idx);
+  let nl = (Board.payload board).Board.netlist in
+  let multi_column mi = nl.Netlist.mems.(mi).Netlist.mem_width > 36 in
+  if bram then
+    Alcotest.(check bool) "twin: off-by-one block column rejected" false
+      (index_agrees board
+         (doctored board idx (function
+           | Board.Bram_seg s when s.block_col = 0 && multi_column s.mi ->
+             Some (Board.Bram_seg { s with block_col = 1 })
+           | _ -> None)));
+  Alcotest.(check bool) "twin: off-by-one LUTRAM tile rejected" false
+    (index_agrees board
+       (doctored board idx (function
+         | Board.Lutram_seg s -> Some (Board.Lutram_seg { s with tile = s.tile + 1 })
+         | _ -> None)))
+
+(* Set the CTL0 GSR restriction on every SLR of [regions] through the
+   configuration port, as a partial bitstream leaves it. *)
+let restrict board regions =
+  board.Board.dynamic_regions <- regions;
+  let primary = (Board.device board).Device.primary in
+  let n = Array.length board.Board.ucs in
+  List.iter
+    (fun (r : Region.t) ->
+      let prog = Zoomie_bitstream.Program.create () in
+      Zoomie_bitstream.Program.sync prog;
+      Zoomie_bitstream.Program.select_slr prog ~hops:((r.Region.slr - primary + n) mod n);
+      Zoomie_bitstream.Program.set_ctl0 prog ~mask:1 ~value:1;
+      Zoomie_bitstream.Program.desync prog;
+      ignore (Board.execute board (Zoomie_bitstream.Program.words prog) : int array))
+    regions
+
+let test_index_full_load () =
+  let st = Random.State.make [| 12 |] in
+  let board = odd_mems_board () in
+  randomize_state st board;
+  check_twins board;
+  check_fill st board;
+  check_restore st board;
+  (* Restricted to the columns holding the first site of [buf] and of
+     [lut]: only part of each memory stays visible. *)
+  let p = Board.payload board in
+  let column_of name =
+    match p.Board.locmap.Loc.mem_placements.(mem_index p.Board.netlist name) with
+    | Loc.In_bram s ->
+      let s = s.(0) in
+      Region.make ~slr:s.Loc.b_slr ~row_lo:s.Loc.b_row ~row_hi:s.Loc.b_row
+        ~col_lo:s.Loc.b_col ~col_hi:s.Loc.b_col
+    | Loc.In_lutram s ->
+      let s = s.(0) in
+      Region.make ~slr:s.Loc.l_slr ~row_lo:s.Loc.l_row ~row_hi:s.Loc.l_row
+        ~col_lo:s.Loc.l_col ~col_hi:s.Loc.l_col
+  in
+  restrict board [ column_of "buf"; column_of "lut" ];
+  Alcotest.(check bool) "restriction set" true
+    (Array.exists Uc.gsr_restricted board.Board.ucs);
+  check_twins board;
+  check_fill st board;
+  check_restore st board
+
+(* After a partial load the CTL0 GSR restriction confines capture and
+   restore to the dynamic region: the index must honor it frame by
+   frame exactly as the walk does bit by bit. *)
+let test_index_partial_load () =
+  let st = Random.State.make [| 13 |] in
+  let build = Vti.compile (project ()) in
+  let board = Board.create (Device.u200 ()) in
+  Vti.load_onto board build;
+  let circuit =
+    Serv.core ~name:"zerv_core_index_test"
+      ~program:[| Serv.instr ~op:Serv.op_halt ~rd:0 ~rs:0 ~imm:0 |] ()
+  in
+  Vti.load_onto board (Vti.recompile build ~path:Manycore.debug_core_path ~circuit);
+  Alcotest.(check bool) "partial load left the GSR restriction set" true
+    (Array.exists Uc.gsr_restricted board.Board.ucs);
+  randomize_state st board;
+  check_twins ~bram:false board;
+  check_fill st board;
+  check_restore st board
+
+(* --- live memory state across a partial load --- *)
+
+let mem_contents sim (m : Netlist.mem) mi =
+  let w = m.Netlist.mem_width in
+  Array.init (m.Netlist.mem_depth * w) (fun j ->
+      Netsim.mem_bit sim mi ~addr:(j / w) ~bit:(j mod w))
+
+let mem_in_regions (p : Board.payload) regions mi =
+  match p.Board.locmap.Loc.mem_placements.(mi) with
+  | Loc.In_bram sites ->
+    Array.exists
+      (fun (s : Loc.bram_site) ->
+        Region.contains_any regions ~slr:s.Loc.b_slr ~row:s.Loc.b_row ~col:s.Loc.b_col)
+      sites
+  | Loc.In_lutram sites ->
+    Array.exists
+      (fun (s : Loc.lut_site) ->
+        Region.contains_any regions ~slr:s.Loc.l_slr ~row:s.Loc.l_row ~col:s.Loc.l_col)
+      sites
+
+(* Static memories keep their contents bit for bit across a partial
+   Vti load; memories inside the reconfigured region come up at their
+   initial contents even though a memory of the same name held data. *)
+let test_carry_over_partial () =
+  let st = Random.State.make [| 14 |] in
+  let build = Vti.compile (project ()) in
+  let board = Board.create (Device.u200 ()) in
+  Vti.load_onto board build;
+  randomize_state st board;
+  let old_sim = Board.netsim board in
+  let before = Hashtbl.create 64 in
+  Array.iteri
+    (fun mi (m : Netlist.mem) ->
+      Hashtbl.replace before m.Netlist.mem_name (mem_contents old_sim m mi))
+    (Board.payload board).Board.netlist.Netlist.mems;
+  let circuit =
+    Serv.core ~name:"zerv_core_carry_test"
+      ~program:[| Serv.instr ~op:Serv.op_halt ~rd:0 ~rs:0 ~imm:0 |] ()
+  in
+  Vti.load_onto board (Vti.recompile build ~path:Manycore.debug_core_path ~circuit);
+  let p = Board.payload board in
+  let sim = Board.netsim board in
+  let init = Netsim.create p.Board.netlist in
+  let static = ref 0 and dynamic = ref 0 in
+  Array.iteri
+    (fun mi (m : Netlist.mem) ->
+      let name = m.Netlist.mem_name in
+      let got = mem_contents sim m mi in
+      if mem_in_regions p board.Board.dynamic_regions mi then begin
+        incr dynamic;
+        Alcotest.(check bool) (name ^ " re-initialized") true
+          (got = mem_contents init m mi);
+        Alcotest.(check bool) (name ^ " held data before") true
+          (Hashtbl.mem before name)
+      end
+      else begin
+        incr static;
+        Alcotest.(check bool) (name ^ " carried bit for bit") true
+          (got = Hashtbl.find before name)
+      end)
+    p.Board.netlist.Netlist.mems;
+  Alcotest.(check bool) "some static memories" true (!static > 0);
+  Alcotest.(check bool) "some dynamic memories" true (!dynamic > 0)
+
+(* A static memory carries over only to a memory of the same name AND
+   the same width and depth. *)
+let test_carry_over_geometry () =
+  let st = Random.State.make [| 15 |] in
+  let board = odd_mems_board () in
+  randomize_state st board;
+  let old_sim = Board.netsim board in
+  let old_nl = (Board.payload board).Board.netlist in
+  let run = odd_mems_run ~buf:(50, 1400) ~lut:(6, 100) () in
+  let p = Option.get run.Zoomie_vendor.Vivado.bitstream.Board.bs_payload in
+  let fresh = Netsim.create p.Board.netlist in
+  Board.carry_over_state board fresh p ~dynamic:[];
+  let init = Netsim.create p.Board.netlist in
+  let contents sim nl name =
+    let mi = mem_index nl name in
+    mem_contents sim nl.Netlist.mems.(mi) mi
+  in
+  Alcotest.(check bool) "same geometry: carried" true
+    (contents fresh p.Board.netlist "same" = contents old_sim old_nl "same");
+  Alcotest.(check bool) "depth differs: not carried" true
+    (contents fresh p.Board.netlist "buf" = contents init p.Board.netlist "buf");
+  Alcotest.(check bool) "width differs: not carried" true
+    (contents fresh p.Board.netlist "lut" = contents init p.Board.netlist "lut")
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "frame index == per-bit walk, full load" `Quick
+        test_index_full_load;
+      Alcotest.test_case "frame index == per-bit walk, partial load" `Quick
+        test_index_partial_load;
+      Alcotest.test_case "partial load carries static memories" `Quick
+        test_carry_over_partial;
+      Alcotest.test_case "carry-over needs equal memory geometry" `Quick
+        test_carry_over_geometry;
+    ]
