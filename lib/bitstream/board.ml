@@ -223,6 +223,19 @@ let iter_slr_mem_bits t ~slr f =
 
 let bram_bits_per_frame = Geometry.words_per_frame * 32
 
+(* The LUTRAM word path: a [Lutram_seg]'s 64 entries are two 32-entry
+   halves, frame words [2*tile] and [2*tile + 1], entry [addr0 + a] at
+   frame bit [a].  [f mi bit word addr0 mask] runs once per half holding
+   at least one entry; [mask] covers the entries inside the depth. *)
+let iter_lutram_halves (mems : Netlist.mem array) ~mi ~bit ~depth_unit ~tile f =
+  let m = mems.(mi) in
+  if bit < m.Netlist.mem_width then
+    for h = 0 to 1 do
+      let addr0 = (depth_unit * 64) + (h * 32) in
+      let n = min 32 (m.Netlist.mem_depth - addr0) in
+      if n > 0 then f mi bit ((2 * tile) + h) addr0 ((1 lsl n) - 1)
+    done
+
 (* The closed-form inverse of [Loc.bram_bit_position]/[Geometry.bram_location]
    and [Loc.lutram_bit_position]/[Geometry.lut_location]: call
    [f mi addr bit word fbit] for every bit of the segment that lies inside
@@ -246,12 +259,10 @@ let iter_segment (mems : Netlist.mem array) seg f =
       done
     done
   | Lutram_seg { mi; bit; depth_unit; tile } ->
-    let m = mems.(mi) in
-    let addr0 = depth_unit * 64 in
-    if bit < m.Netlist.mem_width then
-      for a = 0 to min 63 (m.Netlist.mem_depth - 1 - addr0) do
-        f mi (addr0 + a) bit ((2 * tile) + (a lsr 5)) (a land 31)
-      done
+    iter_lutram_halves mems ~mi ~bit ~depth_unit ~tile (fun mi bit word addr0 mask ->
+        for a = 0 to 31 do
+          if (mask lsr a) land 1 = 1 then f mi (addr0 + a) bit word a
+        done)
 
 let segment_nonempty mems seg =
   match iter_segment mems seg (fun _ _ _ _ _ -> raise_notrace Exit) with
@@ -372,6 +383,26 @@ let put_bit (frame : int array) word bit v =
 
 let get_bit (frame : int array) word bit = (frame.(word) lsr bit) land 1 = 1
 
+(* Entries [addr0 + a] (bit [a] of [mask]) of data bit [bit] of memory
+   [mi], as one frame word. *)
+let lutram_word sim mi bit addr0 mask =
+  let w = ref 0 in
+  for a = 0 to 31 do
+    if (mask lsr a) land 1 = 1 && Netsim.mem_bit sim mi ~addr:(addr0 + a) ~bit then
+      w := !w lor (1 lsl a)
+  done;
+  !w
+
+(* A frame's memory segments: block RAM bit by bit, LUTRAM a half-word
+   at a time. *)
+let iter_mem_segments mems segs per_bit per_half =
+  Array.iter
+    (function
+      | Bram_seg _ as seg -> iter_segment mems seg per_bit
+      | Lutram_seg { mi; bit; depth_unit; tile } ->
+        iter_lutram_halves mems ~mi ~bit ~depth_unit ~tile per_half)
+    segs
+
 (* The lazy half of GCAPTURE: refresh the state bits of one frame from
    the live design, at FDRO read time. *)
 let fill_frame t slr key =
@@ -387,7 +418,10 @@ let fill_frame t slr key =
       let fill mi addr bit word fbit =
         put_bit frame word fbit (Netsim.mem_bit sim mi ~addr ~bit)
       in
-      Array.iter (fun seg -> iter_segment p.netlist.Netlist.mems seg fill) fb.fb_mems
+      let fill_half mi bit word addr0 mask =
+        frame.(word) <- frame.(word) land lnot mask lor lutram_word sim mi bit addr0 mask
+      in
+      iter_mem_segments p.netlist.Netlist.mems fb.fb_mems fill fill_half
     | _ -> ())
 
 (* GCAPTURE, eagerly: arm the µc and materialize every state frame of
@@ -426,7 +460,17 @@ let restore_slr t slr =
           let restore mi addr bit word fbit =
             Netsim.set_mem_bit sim mi ~addr ~bit (get_bit frame word fbit)
           in
-          Array.iter (fun seg -> iter_segment mems seg restore) fb.fb_mems
+          (* Only the entries whose bit differs are written, exactly the
+             ones [Netsim.set_mem_bit] would have changed bit by bit. *)
+          let restore_half mi bit word addr0 mask =
+            let diff = (frame.(word) lxor lutram_word sim mi bit addr0 mask) land mask in
+            if diff <> 0 then
+              for a = 0 to 31 do
+                if (diff lsr a) land 1 = 1 then
+                  Netsim.set_mem_bit sim mi ~addr:(addr0 + a) ~bit (get_bit frame word a)
+              done
+          in
+          iter_mem_segments mems fb.fb_mems restore restore_half
         | _ -> ())
       (Uc.dirty_keys u);
     if !applied then Netsim.eval_comb sim

@@ -199,6 +199,22 @@ val iter_segment :
   (int -> int -> int -> int -> int -> unit) ->
   unit
 
+(** The word path capture and restore take for a [Lutram_seg]: its 64
+    entries are two 32-entry halves in frame words [2*tile] and
+    [2*tile + 1], entry [addr0 + a] at frame bit [a].
+    [iter_lutram_halves mems ~mi ~bit ~depth_unit ~tile f] calls
+    [f mi bit word addr0 mask] once per half holding at least one entry;
+    [mask] has bit [a] set for each entry inside the memory's depth.
+    {!iter_segment} expands a LUTRAM segment through it. *)
+val iter_lutram_halves :
+  Netlist.mem array ->
+  mi:int ->
+  bit:int ->
+  depth_unit:int ->
+  tile:int ->
+  (int -> int -> int -> int -> int -> unit) ->
+  unit
+
 (** GCAPTURE on one SLR, eagerly: snapshot live FF/memory state into its
     frames.  The packet-stream path is lazier — a GCAPTURE command only
     arms the µc, and each frame's state bits materialize when an FDRO

@@ -111,19 +111,20 @@ let far_valid t =
   row < t.region_rows && col < num_columns t
 
 (* Streaming FDRI: words accumulate into the frame at FAR; FAR advances per
-   completed frame. *)
+   completed frame.  Each frame is resolved once and filled in one loop. *)
 let write_fdri_words t data =
   let wpf = Geometry.words_per_frame in
   let i = ref 0 in
   let n = Array.length data in
   while !i < n do
     if far_valid t then begin
-      let row, col, minor = t.far in
+      let frame = Frames.frame t.frames t.far in
       let take = min wpf (n - !i) in
+      let base = !i in
       for k = 0 to take - 1 do
-        Frames.write_word t.frames (row, col, minor) k data.(!i + k)
+        frame.(k) <- data.(base + k) land 0xFFFFFFFF
       done;
-      mark_dirty t (row, col, minor);
+      mark_dirty t t.far;
       i := !i + take;
       advance_far t
     end
@@ -136,15 +137,12 @@ let read_fdro_words t ~count =
   let i = ref 0 in
   while !i < count do
     if far_valid t then begin
-      let row, col, minor = t.far in
       (* Lazy GCAPTURE: materialize this frame's state bits only now that
          someone reads them.  Dirty frames keep their written content. *)
-      if t.captured && not (frame_dirty t (row, col, minor)) then
-        t.hooks.on_frame_read (row, col, minor);
+      if t.captured && not (frame_dirty t t.far) then
+        t.hooks.on_frame_read t.far;
       let take = min wpf (count - !i) in
-      for k = 0 to take - 1 do
-        out.(!i + k) <- Frames.read_word t.frames (row, col, minor) k
-      done;
+      Array.blit (Frames.frame t.frames t.far) 0 out !i take;
       i := !i + take;
       advance_far t
     end

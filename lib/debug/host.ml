@@ -180,13 +180,16 @@ let mut_cycles t =
 (** Pause the MUT from the host (e.g. on a perceived hang). *)
 let pause t = inject t [ (dbg_reg t Controller.ctl_run_reg, Bits.of_int ~width:1 0) ]
 
-(* Clear every latched stop condition. *)
-let clear_stop t =
+(* Clear every latched stop condition, arm the step counter with
+   [steps] and set the run bit: one read-modify-write of the controller
+   frames (one capture sweep, one GRESTORE) for a resume or a step. *)
+let release t ~steps =
   inject t
     ([
        (dbg_reg t Controller.stop_latched_reg, Bits.of_int ~width:1 0);
        (dbg_reg t Controller.stop_cause_reg, Bits.zero 4);
-       (dbg_reg t Controller.step_counter_reg, Bits.zero 64);
+       (dbg_reg t Controller.step_counter_reg, Bits.of_int ~width:64 steps);
+       (dbg_reg t Controller.ctl_run_reg, Bits.of_int ~width:1 1);
      ]
     @
     match t.info.Controller.cfg.Controller.assertions with
@@ -194,9 +197,7 @@ let clear_stop t =
     | l -> [ (dbg_reg t Controller.assert_cause_reg, Bits.zero (List.length l)) ])
 
 (** Resume execution (clears latched stops). *)
-let resume t =
-  clear_stop t;
-  inject t [ (dbg_reg t Controller.ctl_run_reg, Bits.of_int ~width:1 1) ]
+let resume t = release t ~steps:0
 
 (** Let the FPGA run [cycles] of the free clock, polling for a stop.
     Returns true when the design stopped (breakpoint) within the budget.
@@ -240,12 +241,7 @@ let run_until_stop ?(max_cycles = 1_000_000) t =
 (** Single-step the MUT by [n] design cycles (gdb's [until]): arm the cycle
     breakpoint and resume. *)
 let step t n =
-  clear_stop t;
-  inject t
-    [
-      (dbg_reg t Controller.step_counter_reg, Bits.of_int ~width:64 n);
-      (dbg_reg t Controller.ctl_run_reg, Bits.of_int ~width:1 1);
-    ];
+  release t ~steps:n;
   let stopped = run_until_stop ~max_cycles:(8 * (n + t.poll_chunk)) t in
   if not stopped then invalid_arg "Host.step: design did not stop"
 

@@ -265,3 +265,238 @@ let suite =
       QCheck_alcotest.to_alcotest prop_executor_total;
       QCheck_alcotest.to_alcotest prop_frame_write_read;
     ]
+
+(* --- the µc frame path vs a per-word reference model ---
+
+   The µc resolves the frame at FAR once per frame and copies its words
+   in one loop (FDRI) or one blit (FDRO).  The model here is the per-word
+   definition: every word goes through [Frames.write_word] /
+   [Frames.read_word] at the current FAR, FAR advances after a frame's
+   last word or the burst's last word, and words past the SLR's last row
+   are dropped (FDRO answers them with zeros).  Random bursts through
+   [Board.execute] must leave the same frames and return the same FDRO
+   responses as the model. *)
+
+module Frames = Zoomie_bitstream.Frames
+
+type ref_uc = {
+  r_frames : Frames.t;
+  mutable r_far : int * int * int;
+  r_columns : Geometry.column_kind array;
+  r_rows : int;
+  r_keys : (Frames.key, unit) Hashtbl.t;  (* every frame the model touched *)
+}
+
+let ref_uc (slr : Device.slr) =
+  {
+    r_frames = Frames.create ();
+    r_far = (0, 0, 0);
+    r_columns = slr.Device.layout.Geometry.columns;
+    r_rows = slr.Device.region_rows;
+    r_keys = Hashtbl.create 64;
+  }
+
+let ref_advance m =
+  let row, col, minor = m.r_far in
+  if minor + 1 < Geometry.frames_per_column m.r_columns.(col) then
+    m.r_far <- (row, col, minor + 1)
+  else if col + 1 < Array.length m.r_columns then m.r_far <- (row, col + 1, 0)
+  else m.r_far <- (row + 1, 0, 0)
+
+(* The planted fault: FAR stays in a column one frame too long. *)
+let ref_advance_off_by_one m =
+  let row, col, minor = m.r_far in
+  if minor + 1 <= Geometry.frames_per_column m.r_columns.(col) then
+    m.r_far <- (row, col, minor + 1)
+  else if col + 1 < Array.length m.r_columns then m.r_far <- (row, col + 1, 0)
+  else m.r_far <- (row + 1, 0, 0)
+
+(* Word [i] of an [n]-word burst lands on word [i mod wpf] of the frame
+   at FAR. *)
+let ref_burst ~advance m n f =
+  let wpf = Geometry.words_per_frame in
+  let valid () =
+    let row, col, _ = m.r_far in
+    row < m.r_rows && col < Array.length m.r_columns
+  in
+  let i = ref 0 in
+  while !i < n && valid () do
+    Hashtbl.replace m.r_keys m.r_far ();
+    f m.r_far (!i mod wpf) !i;
+    if !i mod wpf = wpf - 1 || !i = n - 1 then advance m;
+    incr i
+  done
+
+type burst = { b_slr : int; b_far : int * int * int; b_write : int array option; b_len : int }
+
+(* FARs start mid-column, often near the end of a column, of the last
+   column or of the last row, so bursts cross column and row boundaries
+   and run past the last row; lengths are mostly not whole frames. *)
+let random_burst st (device : Device.t) =
+  let wpf = Geometry.words_per_frame in
+  let b_slr = Random.State.int st (Device.num_slrs device) in
+  let slr = Device.slr device b_slr in
+  let columns = slr.Device.layout.Geometry.columns in
+  let ncols = Array.length columns in
+  let rows = slr.Device.region_rows in
+  let row = if Random.State.int st 3 = 0 then rows - 1 else Random.State.int st rows in
+  let col =
+    if Random.State.bool st then ncols - 1 - Random.State.int st 2
+    else Random.State.int st ncols
+  in
+  let fpc = Geometry.frames_per_column columns.(col) in
+  let minor =
+    if Random.State.bool st then max 0 (fpc - 1 - Random.State.int st 3)
+    else Random.State.int st fpc
+  in
+  let b_len = 1 + Random.State.int st (4 * wpf) in
+  let b_write =
+    if Random.State.int st 3 = 0 then None
+    else
+      Some
+        (Array.init b_len (fun _ ->
+             Random.State.int st 65536 lor (Random.State.int st 65536 lsl 16)))
+  in
+  { b_slr; b_far = (row, col, minor); b_write; b_len }
+
+(* Run [bursts] on a blank board and on the model; [true] when every FDRO
+   response, every frame the model touched and the number of frames each
+   side allocated agree. *)
+let uc_agrees ~advance (device : Device.t) bursts =
+  let board = Board.create device in
+  let n = Device.num_slrs device in
+  let models = Array.init n (fun i -> ref_uc (Device.slr device i)) in
+  let responses_agree =
+    List.for_all
+      (fun b ->
+        let row, col, minor = b.b_far in
+        let prog = Program.create () in
+        Program.sync prog;
+        Program.select_slr prog ~hops:((b.b_slr - device.Device.primary + n) mod n);
+        Program.set_far prog ~row ~col ~minor;
+        (match b.b_write with
+        | Some data -> Program.write_frames prog [ data ]
+        | None -> Program.read_frames prog ~words:b.b_len);
+        Program.desync prog;
+        let got = Board.execute board (Program.words prog) in
+        let m = models.(b.b_slr) in
+        m.r_far <- b.b_far;
+        match b.b_write with
+        | Some data ->
+          ref_burst ~advance m b.b_len (fun key k i ->
+              Frames.write_word m.r_frames key k data.(i));
+          got = [||]
+        | None ->
+          let expected = Array.make b.b_len 0 in
+          ref_burst ~advance m b.b_len (fun key k i ->
+              expected.(i) <- Frames.read_word m.r_frames key k);
+          got = expected)
+      bursts
+  in
+  responses_agree
+  && List.for_all
+       (fun slr ->
+         let frames = (Board.uc board slr).Uc.frames and m = models.(slr) in
+         Frames.allocated frames = Frames.allocated m.r_frames
+         && Hashtbl.fold
+              (fun key () ok ->
+                ok && Frames.read_frame frames key = Frames.read_frame m.r_frames key)
+              m.r_keys true)
+       (List.init n Fun.id)
+
+let test_uc_frame_path_vs_per_word () =
+  let device = Device.u200 () in
+  let st = Random.State.make [| 2024 |] in
+  let bursts = List.init 300 (fun _ -> random_burst st device) in
+  (* The bursts reach every boundary case the frame path special-cases. *)
+  let wpf = Geometry.words_per_frame in
+  let counts = Array.make 4 0 in
+  List.iter
+    (fun b ->
+      let m = ref_uc (Device.slr device b.b_slr) in
+      m.r_far <- b.b_far;
+      let touched = ref [] and served = ref 0 in
+      ref_burst ~advance:ref_advance m b.b_len (fun (row, col, _) _ _ ->
+          touched := (row, col) :: !touched;
+          incr served);
+      let columns = List.sort_uniq compare !touched in
+      let rows = List.sort_uniq compare (List.map fst columns) in
+      let bump i c = if c then counts.(i) <- counts.(i) + 1 in
+      bump 0 (b.b_len mod wpf <> 0);
+      bump 1 (List.length columns > List.length rows);
+      bump 2 (List.length rows > 1);
+      bump 3 (!served < b.b_len && !served > 0))
+    bursts;
+  Array.iteri
+    (fun i what ->
+      if counts.(i) = 0 then Alcotest.failf "no burst %s" what)
+    [|
+      "with a partial last frame";
+      "crossing a column boundary";
+      "crossing a row boundary";
+      "running past the last row";
+    |];
+  Alcotest.(check bool) "frame path == per-word model" true
+    (uc_agrees ~advance:ref_advance device bursts);
+  Alcotest.(check bool) "twin: off-by-one FAR advance rejected" false
+    (uc_agrees ~advance:ref_advance_off_by_one device bursts)
+
+(* After GCAPTURE the µc serves a frame's state bits from the live design
+   at FDRO time — unless FDRI wrote that frame since: then the written
+   content wins until the next GCAPTURE. *)
+let test_dirty_frame_survives_lazy_capture () =
+  let board, _host = Test_debug.session () in
+  let device = Board.device board in
+  let n = Device.num_slrs device in
+  let sim = Board.netsim board in
+  let slr, key, (fb : Board.frame_bits) =
+    let found = ref None in
+    Array.iteri
+      (fun slr idx ->
+        Hashtbl.iter
+          (fun key (fb : Board.frame_bits) ->
+            if !found = None && Array.length fb.Board.fb_ffs > 0 then
+              found := Some (slr, key, fb))
+          idx)
+      (Board.frame_index board);
+    Option.get !found
+  in
+  let row, col, minor = key in
+  let wpf = Geometry.words_per_frame in
+  let exec ?write () =
+    let prog = Program.create () in
+    Program.sync prog;
+    Program.select_slr prog ~hops:((slr - device.Device.primary + n) mod n);
+    Program.gcapture prog;
+    (match write with
+    | Some data ->
+      Program.set_far prog ~row ~col ~minor;
+      Program.write_frames prog [ data ]
+    | None -> ());
+    Program.set_far prog ~row ~col ~minor;
+    Program.read_frames prog ~words:wpf;
+    Program.desync prog;
+    Board.execute board (Program.words prog)
+  in
+  let ffs_match frame =
+    Array.for_all
+      (fun (i, word, bit) ->
+        (frame.(word) lsr bit) land 1 = 1 = Zoomie_synth.Netsim.ff_value sim i)
+      fb.Board.fb_ffs
+  in
+  let live = exec () in
+  Alcotest.(check bool) "captured frame holds the live FFs" true (ffs_match live);
+  let written = Array.map (fun w -> lnot w land 0xFFFFFFFF) live in
+  Alcotest.(check (array int)) "dirty frame keeps its written content" written
+    (exec ~write:written ());
+  Alcotest.(check bool) "the next GCAPTURE serves the live FFs again" true
+    (ffs_match (exec ()))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "µc frame path == per-word model" `Quick
+        test_uc_frame_path_vs_per_word;
+      Alcotest.test_case "dirty frame survives lazy capture" `Quick
+        test_dirty_frame_survives_lazy_capture;
+    ]

@@ -799,3 +799,109 @@ let suite =
       Alcotest.test_case "diff_states" `Quick test_diff_states;
       Alcotest.test_case "repl trace command" `Quick test_repl_trace_command;
     ]
+
+(* --- step/resume: one read-modify-write of the controller frames ---
+
+   [Host.step] and [Host.resume] clear the stop latch and its cause
+   registers and set the run controls in a single injection.  The
+   two-injection sequence (clear, then arm) they replace runs no clock
+   edge in between, so a twin board driven through it must end in the
+   same state — for one GRESTORE instead of two. *)
+
+module Jtag = Zoomie_bitstream.Jtag
+
+let dbg name = "dut." ^ name
+
+let clear_then_arm host ~steps ~assertions =
+  let sm = Host.site_map host and board = Host.board host in
+  Readback.inject_registers_indexed board sm
+    ([
+       (dbg Controller.stop_latched_reg, bits ~width:1 0);
+       (dbg Controller.stop_cause_reg, Bits.zero 4);
+       (dbg Controller.step_counter_reg, Bits.zero 64);
+     ]
+    @ if assertions = 0 then [] else [ (dbg Controller.assert_cause_reg, Bits.zero assertions) ]);
+  Readback.inject_registers_indexed board sm
+    [
+      (dbg Controller.step_counter_reg, bits ~width:64 steps);
+      (dbg Controller.ctl_run_reg, bits ~width:1 1);
+    ]
+
+let two_step host ~assertions n =
+  let max_cycles = 8 * (n + Host.poll_chunk host) in
+  clear_then_arm host ~steps:n ~assertions;
+  if not (Host.run_until_stop ~max_cycles host) then Alcotest.fail "twin did not stop"
+
+(* Every register of the wrapper (MUT and controller) by readback, and
+   the free-running clock. *)
+let full_state host =
+  let board = Host.board host in
+  let select n = String.starts_with ~prefix:"dut." n in
+  let sm = Host.site_map host in
+  ( Readback.read_registers_indexed board sm (Readback.plan_of_select sm ~select) ~select,
+    Board.fpga_cycles board )
+
+let grestores_during board f =
+  let before = (Jtag.Meter.counts (Board.meter board)).Jtag.Meter.m_grestores in
+  f ();
+  (Jtag.Meter.counts (Board.meter board)).Jtag.Meter.m_grestores - before
+
+let check_same_state what (a, ca) (b, cb) =
+  Alcotest.(check int) (what ^ ": same fpga_cycles") cb ca;
+  Alcotest.(check int) (what ^ ": same register count") (List.length b) (List.length a);
+  List.iter2
+    (fun (n1, v1) (n2, v2) ->
+      Alcotest.(check string) (what ^ ": same register") n2 n1;
+      if not (Bits.equal v1 v2) then
+        Alcotest.failf "%s: %s = %s, two-injection twin %s" what n1 (Bits.to_string v1)
+          (Bits.to_string v2))
+    a b
+
+let check_step_equivalence ?(assertions = []) () =
+  let n_asserts = List.length assertions in
+  let board_a, a = session ~assertions () and board_b, b = session ~assertions () in
+  List.iter (fun board -> Board.run board 13) [ board_a; board_b ];
+  Host.pause a;
+  Host.pause b;
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "step %d: one GRESTORE" n)
+        1
+        (grestores_during board_a (fun () -> Host.step a n));
+      two_step b ~assertions:n_asserts n;
+      check_same_state (Printf.sprintf "step %d" n) (full_state a) (full_state b))
+    [ 1; 3; 1; 7 ];
+  if assertions <> [] then
+    Alcotest.(check (list string)) "the assertion fired" [ "count_limit" ]
+      (Host.fired_assertions a);
+  (* Off the violating count, so only a cleared cause register reads 0. *)
+  List.iter (fun h -> Host.write_register h "count" (bits ~width:16 100)) [ a; b ];
+  Alcotest.(check int) "resume: one GRESTORE" 1 (grestores_during board_a (fun () -> Host.resume a));
+  clear_then_arm b ~steps:0 ~assertions:n_asserts;
+  List.iter (fun board -> Board.run board 9) [ board_a; board_b ];
+  check_same_state "resume" (full_state a) (full_state b);
+  Host.pause a;
+  Host.pause b;
+  Host.step a 2;
+  two_step b ~assertions:n_asserts 2;
+  check_same_state "step after resume" (full_state a) (full_state b)
+
+let test_step_equivalence () = check_step_equivalence ()
+
+let test_step_equivalence_assertions () =
+  let widths = function "dbg_count" -> 16 | _ -> 1 in
+  match
+    Zoomie_sva.Compile.compile ~widths
+      "count_limit: assert property (@(posedge clk) dbg_count != 16'd20);"
+  with
+  | Ok s -> check_step_equivalence ~assertions:[ s.Zoomie_sva.Compile.monitor ] ()
+  | Error f -> Alcotest.failf "sva: %s" f.Zoomie_sva.Compile.reason
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "step/resume == clear then arm" `Quick test_step_equivalence;
+      Alcotest.test_case "step/resume == clear then arm (assertions)" `Quick
+        test_step_equivalence_assertions;
+    ]

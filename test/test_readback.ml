@@ -264,6 +264,13 @@ let test_plan_of_names_validates () =
 
 (* --- differential property: indexed engine == seed implementation ----- *)
 
+(* The comparator: same registers, same order, same values. *)
+let same_registers indexed baseline =
+  List.length indexed = List.length baseline
+  && List.for_all2
+       (fun (n1, v1) (n2, v2) -> n1 = n2 && Bits.equal v1 v2)
+       indexed baseline
+
 (* Random MUT state (injected through the real frame machinery), then both
    extractors parse the same kind of response; they must agree exactly. *)
 let prop_indexed_matches_baseline =
@@ -297,11 +304,58 @@ let prop_indexed_matches_baseline =
           let plan = Readback.plan_of_select sm ~select in
           let indexed = Readback.read_registers_indexed board sm plan ~select in
           let baseline = Baseline.read_registers board netlist locmap plan ~select in
-          List.length indexed = List.length baseline
-          && List.for_all2
-               (fun (n1, v1) (n2, v2) -> n1 = n2 && Bits.equal v1 v2)
-               indexed baseline)
+          same_registers indexed baseline)
         selects)
+
+(* Planted faults for the property's comparator: the indexed extractor
+   fed a doctored copy of one sweep's response — one FF bit of a
+   selected register flipped, or the frame holding it dropped — must not
+   agree with the baseline fed the true response.  An extraction that
+   refuses the response (an uncovered frame) counts as disagreement. *)
+let test_indexed_vs_baseline_twins () =
+  let board, host = session () in
+  Board.run board 21;
+  Host.pause host;
+  Host.write_register host "count" (Bits.of_int ~width:16 0xFFFF);
+  let p = Board.payload board in
+  let sm = site_map_of board in
+  let select n = String.starts_with ~prefix:"dut.mut." n in
+  let response = Readback.read_plan_frames board (Readback.plan_of_select sm ~select) in
+  let agree doctored =
+    match Readback.extract_registers sm doctored ~select with
+    | exception Readback.Readback_error _ -> false
+    | indexed ->
+      same_registers indexed
+        (Baseline.extract_registers p.Board.netlist p.Board.locmap
+           (List.map
+              (fun slr -> (slr, Frame_index.to_assoc response ~slr))
+              (Frame_index.slrs response))
+           ~select)
+  in
+  Alcotest.(check bool) "true response agrees" true (agree response);
+  (* bit 0 of dut.mut.count, a 1 *)
+  let key, word, bit =
+    let module Loc = Zoomie_fabric.Loc in
+    let i = ref (-1) in
+    Array.iteri
+      (fun j nb -> if nb = ("dut.mut.count", 0) then i := j)
+      p.Board.netlist.Zoomie_synth.Netlist.ff_names;
+    let site = p.Board.locmap.Loc.ff_sites.(!i) in
+    let minor, word, bit = Loc.ff_frame_bit site in
+    ((site.Loc.f_slr, site.Loc.f_row, site.Loc.f_col, minor), word, bit)
+  in
+  let flipped = Frame_index.copy response in
+  let old = Option.get (Frame_index.bit flipped key ~word ~bit) in
+  Alcotest.(check bool) "planted bit is a 1" true old;
+  ignore (Frame_index.set_bit flipped key ~word ~bit (not old) : bool);
+  Alcotest.(check bool) "twin: flipped FF bit rejected" false (agree flipped);
+  let dropped = Frame_index.create () in
+  Frame_index.iter
+    (fun k words -> if k <> key then Frame_index.add dropped k words)
+    response;
+  Alcotest.(check int) "one frame dropped" (Frame_index.length response - 1)
+    (Frame_index.length dropped);
+  Alcotest.(check bool) "twin: dropped frame rejected" false (agree dropped)
 
 (* The pure extractor and the baseline also agree frame-for-frame when fed
    the identical response object. *)
@@ -380,4 +434,6 @@ let suite =
       test_extractors_agree_on_shared_response;
     Alcotest.test_case "Frame_index bookkeeping" `Quick test_frame_index_basics;
     QCheck_alcotest.to_alcotest prop_indexed_matches_baseline;
+    Alcotest.test_case "indexed vs baseline: planted faults rejected" `Quick
+      test_indexed_vs_baseline_twins;
   ]

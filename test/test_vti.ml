@@ -871,6 +871,50 @@ let check_twins ?(bram = true) board =
          | Board.Lutram_seg s -> Some (Board.Lutram_seg { s with tile = s.tile + 1 })
          | _ -> None)))
 
+(* The LUTRAM word path capture and restore take: every visible
+   [Lutram_seg] expanded half by half through [Board.iter_lutram_halves],
+   with [doctor] applied to each half's entry mask, must name exactly the
+   walk's LUTRAM bits. *)
+let lutram_words_agree board idx doctor =
+  let p = Board.payload board in
+  let mems = p.Board.netlist.Netlist.mems in
+  let lutram mi =
+    match p.Board.locmap.Loc.mem_placements.(mi) with
+    | Loc.In_lutram _ -> true
+    | Loc.In_bram _ -> false
+  in
+  let slrs = List.init (Array.length board.Board.ucs) Fun.id in
+  let walks =
+    List.map
+      (fun slr ->
+        List.filter
+          (function _, Mem (mi, _, _) -> lutram mi | _, Ff _ -> false)
+          (walk_pairs board ~slr))
+      slrs
+  in
+  List.exists (( <> ) []) walks
+  && List.for_all2
+    (fun slr walk ->
+      let acc = ref [] in
+      Hashtbl.iter
+        (fun key (fb : Board.frame_bits) ->
+          if visible board ~slr key then
+            Array.iter
+              (function
+                | Board.Lutram_seg { mi; bit; depth_unit; tile } ->
+                  Board.iter_lutram_halves mems ~mi ~bit ~depth_unit ~tile
+                    (fun mi bit word addr0 mask ->
+                      let mask = doctor mask in
+                      for a = 0 to 31 do
+                        if (mask lsr a) land 1 = 1 then
+                          acc := ((key, word, a), Mem (mi, addr0 + a, bit)) :: !acc
+                      done)
+                | Board.Bram_seg _ -> ())
+              fb.Board.fb_mems)
+        idx.(slr);
+      List.sort compare !acc = walk)
+    slrs walks
+
 (* Set the CTL0 GSR restriction on every SLR of [regions] through the
    configuration port, as a partial bitstream leaves it. *)
 let restrict board regions =
@@ -892,6 +936,12 @@ let test_index_full_load () =
   let board = odd_mems_board () in
   randomize_state st board;
   check_twins board;
+  (* [lut] is 5 x 100: its second 64-entry unit ends in a 4-entry half. *)
+  let idx = Board.frame_index board in
+  Alcotest.(check bool) "LUTRAM word path == per-bit walk" true
+    (lutram_words_agree board idx Fun.id);
+  Alcotest.(check bool) "twin: half-word mask one entry too wide rejected" false
+    (lutram_words_agree board idx (fun mask -> ((mask lsl 1) lor 1) land 0xFFFFFFFF));
   check_fill st board;
   check_restore st board;
   (* Restricted to the columns holding the first site of [buf] and of
