@@ -1,6 +1,6 @@
 # Convenience entry points; `make check` is the tier-1 gate.
 
-.PHONY: all build test bench-smoke hub-farm-smoke obs-smoke fuzz-smoke timeline-smoke check clean
+.PHONY: all build test bench-smoke hub-farm-smoke obs-smoke fuzz-smoke timeline-smoke perfbench-smoke check clean
 
 all: build
 
@@ -102,6 +102,17 @@ timeline-smoke:
 	grep -q '"timeline.checkpoints"' artifacts/BENCH_timeline_smoke.json
 	grep -q '"timeline.restore_jtag_s"' artifacts/BENCH_timeline_smoke.json
 	dune exec bin/zoomie_cli.exe -- replay artifacts/timeline_sample.zrec > /dev/null
+
+# The benchmark's three workloads for 4 s each on seed 1 (~7-10 s per
+# run): VTI recompile -> partial load -> attach -> step -> readback on
+# the 108-core SoC, the socket farm's shared debug loop, and a recorded
+# session with reverse-continue and when-did.  Each run exits 1 on any
+# failed output check (incl. bit-for-bit vs Vti.Flow_baseline,
+# transcripts, step totals, replayed state).
+perfbench-smoke:
+	dune exec perfbench/main.exe -- --workload vti_edit_loop --seed 1 --seconds 4
+	dune exec perfbench/main.exe -- --workload farm_debug --seed 1 --seconds 4
+	dune exec perfbench/main.exe -- --workload reverse_debug --seed 1 --seconds 4
 
 check: build
 	dune runtest

@@ -685,28 +685,60 @@ let price_stream stream = Jtag.Meter.price (stream_counts stream)
 
 (* Carry live state across a partial reconfiguration: FFs and memories
    outside the dynamic regions keep their values (matched by RTL name);
-   inside, GSR re-initializes. *)
+   inside, GSR re-initializes.
+
+   FF names are unique within a netlist, so an FF whose (name, bit) sits
+   at the same index in both arrays, or at the same distance from their
+   ends, is the by-name match without a lookup.  A VTI relink splices
+   the new stamp into the previous [ff_names] with blits, so everything
+   outside the stamp aligns this way (usually the same tuple, shared);
+   only the unaligned middle goes through a by-name table.  Two
+   netlists with nothing in common degrade to one table over all. *)
 let carry_over_state t (fresh : Netsim.t) (p : payload) ~dynamic =
   match t.design with
   | None -> ()
   | Some (old_p, old_sim) ->
-    let old_values = Hashtbl.create 1024 in
+    let old_names = old_p.netlist.Netlist.ff_names in
+    let new_names = p.netlist.Netlist.ff_names in
+    let old_n = Array.length old_names and new_n = Array.length new_names in
+    let same ((n1, b1) as k1) ((n2, b2) as k2) =
+      k1 == k2 || (b1 = b2 && String.equal n1 n2)
+    in
+    let common = min old_n new_n in
+    let pre = ref 0 in
+    while !pre < common && same old_names.(!pre) new_names.(!pre) do
+      incr pre
+    done;
+    let pre = !pre in
+    let suf = ref 0 in
+    while
+      pre + !suf < common
+      && same old_names.(old_n - 1 - !suf) new_names.(new_n - 1 - !suf)
+    do
+      incr suf
+    done;
+    let suf_start = new_n - !suf and shift = old_n - new_n in
+    let middle = Hashtbl.create (max 16 (old_n - pre - !suf)) in
+    for j = pre to old_n - !suf - 1 do
+      Hashtbl.replace middle old_names.(j) j
+    done;
     Array.iteri
-      (fun i (name, bit) ->
-        Hashtbl.replace old_values (name, bit) (Netsim.ff_value old_sim i))
-      old_p.netlist.Netlist.ff_names;
-    Array.iteri
-      (fun i (name, bit) ->
+      (fun i key ->
         let site = p.locmap.Loc.ff_sites.(i) in
         let in_dynamic =
           Region.contains_any dynamic ~slr:site.Loc.f_slr ~row:site.Loc.f_row
             ~col:site.Loc.f_col
         in
         if not in_dynamic then
-          match Hashtbl.find_opt old_values (name, bit) with
-          | Some v -> Netsim.set_ff fresh i v
+          let src =
+            if i < pre then Some i
+            else if i >= suf_start then Some (i + shift)
+            else Hashtbl.find_opt middle key
+          in
+          match src with
+          | Some j -> Netsim.set_ff fresh i (Netsim.ff_value old_sim j)
           | None -> ())
-      p.netlist.Netlist.ff_names;
+      new_names;
     (* Memories: carry whole arrays by name when static. *)
     let old_mem_index = Hashtbl.create 16 in
     Array.iteri

@@ -256,8 +256,12 @@ val price_stream : int array -> float
 val load : t -> bitstream -> unit
 
 (** Used by {!load} for partial reconfiguration; exposed for the VTI
-    tests: copy state (and input-pin drives) from the old model into the
-    new one, except inside [dynamic] regions. *)
+    tests: copy state from the old model into the new one, except inside
+    [dynamic] regions.  FFs match by [(name, bit)], which must be unique
+    in each netlist: keys aligned at the same index from the front or the
+    back of both [ff_names] arrays match by position, the rest through a
+    table over the old array's unaligned middle.  Memories match by name,
+    width and depth. *)
 val carry_over_state : t -> Netsim.t -> payload -> dynamic:Region.t list -> unit
 
 (** Advance the user clock [n] cycles (no cable traffic). *)

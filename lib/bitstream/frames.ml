@@ -1,7 +1,8 @@
 (** Sparse configuration-frame store for one SLR.
 
-    Frames are allocated on first touch; unconfigured frames read back as
-    zeros (like a blank device).  Keys are (region row, column, minor). *)
+    Frames are allocated on first write; unconfigured frames read back as
+    zeros (like a blank device) without being stored.  Keys are (region
+    row, column, minor). *)
 
 type key = int * int * int
 
@@ -21,7 +22,12 @@ let frame t key =
     Hashtbl.add t.table key f;
     f
 
-let read_word t key i = (frame t key).(i)
+(* What every never-written frame reads as; never handed out for writing. *)
+let zeros = Array.make Zoomie_fabric.Geometry.words_per_frame 0
+
+let peek t key = match Hashtbl.find_opt t.table key with Some f -> f | None -> zeros
+
+let read_word t key i = (peek t key).(i)
 
 let write_word t key i v = (frame t key).(i) <- v land 0xFFFFFFFF
 
@@ -33,7 +39,7 @@ let set_bit t key ~word ~bit v =
   else f.(word) <- f.(word) land lnot (1 lsl bit)
 
 (** Entire frame as a word array (copied). *)
-let read_frame t key = Array.copy (frame t key)
+let read_frame t key = Array.copy (peek t key)
 
 let write_frame t key data =
   if Array.length data <> t.words_per_frame then

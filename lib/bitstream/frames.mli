@@ -1,7 +1,8 @@
 (** Sparse configuration-frame store: one per SLR microcontroller.
 
     Frames are keyed by (row, column, minor) and allocated on first
-    touch; a frame is {!Zoomie_fabric.Geometry.words_per_frame} words.
+    write; reads of a never-written frame see zeros and store nothing.  A
+    frame is {!Zoomie_fabric.Geometry.words_per_frame} words.
     This is the "SRAM" a real device's configuration plane writes — the
     board reads LUT equations, FF init/captured state and memory contents
     out of it. *)
@@ -13,8 +14,13 @@ type t
 
 val create : unit -> t
 
-(** The frame at [key], allocating zeroed storage on first touch. *)
+(** The frame at [key] for writing, allocating zeroed storage on first
+    touch. *)
 val frame : t -> key -> int array
+
+(** The frame at [key] for reading, allocating nothing: a never-written
+    frame is a shared zero frame, which the caller must not mutate. *)
+val peek : t -> key -> int array
 
 val read_word : t -> key -> int -> int
 
@@ -29,7 +35,7 @@ val read_frame : t -> key -> int array
 
 val write_frame : t -> key -> int array -> unit
 
-(** Number of frames touched so far. *)
+(** Number of frames written so far. *)
 val allocated : t -> int
 
 val clear : t -> unit

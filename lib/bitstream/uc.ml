@@ -142,7 +142,7 @@ let read_fdro_words t ~count =
       if t.captured && not (frame_dirty t t.far) then
         t.hooks.on_frame_read t.far;
       let take = min wpf (count - !i) in
-      Array.blit (Frames.frame t.frames t.far) 0 out !i take;
+      Array.blit (Frames.peek t.frames t.far) 0 out !i take;
       i := !i + take;
       advance_far t
     end

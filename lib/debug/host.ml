@@ -62,12 +62,13 @@ let attach ?site_map board ~(info : Controller.info) ~mut_path =
   let prefix = mut_path ^ "." in
   let select name = String.starts_with ~prefix name in
   let site_map =
-    (* Building the index is the expensive part of attach; sessions that
-       share a design (the hub's, all attached to one board) pass the one
-       they already have. *)
+    (* Every name a host addresses lies under [prefix], so its own map
+       covers just the wrapper's FFs and memories.  Sessions that share
+       a design (the hub's, all attached to one board) pass the
+       full-design map they already have. *)
     match site_map with
     | Some sm -> sm
-    | None -> Readback.site_map (Board.device board) netlist locmap
+    | None -> Readback.site_map ~select (Board.device board) netlist locmap
   in
   let mut_plan = Readback.plan_of_select site_map ~select in
   (* Resolve the stop latch's Q net once: its FF is named
@@ -92,6 +93,8 @@ let board t = t.board
 let mut_path t = t.mut_path
 
 let site_map t = t.site_map
+
+let mut_plan t = t.mut_plan
 
 let poll_chunk t = t.poll_chunk
 

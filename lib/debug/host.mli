@@ -20,9 +20,12 @@ type t
     afterwards, exactly as a hardware debugger reconnects after
     reprogramming.
 
-    [site_map] lets sessions sharing one configured design (a hub's, all
-    attached to the same board) reuse one prebuilt index instead of each
-    rebuilding it — it must describe the board's current payload. *)
+    Without [site_map] the session builds its own, scoped to the FFs and
+    memories under [mut_path ^ "."]: every name the session addresses
+    lies there.  [site_map] lets sessions sharing one configured design
+    (a hub's, all attached to the same board) reuse one prebuilt map
+    instead — it must describe the board's current payload and cover the
+    wrapper's names; the hub passes a full-design map. *)
 val attach :
   ?site_map:Readback.site_map ->
   Board.t ->
@@ -43,7 +46,13 @@ val board : t -> Board.t
 
 val mut_path : t -> string
 
+(** The map the session reads and injects through: the one passed to
+    {!attach}, or its own, which knows only names under [mut_path]. *)
 val site_map : t -> Readback.site_map
+
+(** The plan covering the wrapper's state (MUT and controller): what
+    {!read_state} and {!snapshot} sweep. *)
+val mut_plan : t -> Readback.plan
 
 (** Full hierarchical name of a MUT register given its original name
     (the wrapper inserts the [mut] instance level). *)

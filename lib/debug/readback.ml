@@ -160,25 +160,31 @@ type site_map = {
   sm_regs : (string, reg_entry) Hashtbl.t;
   sm_reg_names : string array;  (** all register names, sorted *)
   sm_mems : (string, int) Hashtbl.t;  (** memory name -> netlist index *)
-  sm_mem_cols : (int * int * int) list array;  (** per netlist memory index *)
+  sm_mem_cols : (int * int * int) list array;
+      (** per netlist memory index; [[]] for memories the map leaves out *)
 }
 
 (** Build the per-design site map: one linear pass over the logic-location
-    metadata, amortized across every subsequent readback/injection. *)
-let site_map device (netlist : Netlist.t) (locmap : Loc.map) =
+    metadata, amortized across every subsequent readback/injection.  Only
+    registers and memories whose name satisfies [select] (default: all)
+    enter the map; every other name is unknown to it. *)
+let site_map ?(select = fun _ -> true) device (netlist : Netlist.t) (locmap : Loc.map) =
   let building : (string, int ref * (int * Frame_index.key * int * int) list ref) Hashtbl.t =
     Hashtbl.create 1024
   in
   Array.iteri
     (fun i (site : Loc.ff_site) ->
       let name, bit = netlist.Netlist.ff_names.(i) in
-      let minor, word, fbit = Loc.ff_frame_bit site in
-      let key = (site.Loc.f_slr, site.Loc.f_row, site.Loc.f_col, minor) in
-      match Hashtbl.find_opt building name with
-      | Some (width, sites) ->
-        if bit + 1 > !width then width := bit + 1;
-        sites := (bit, key, word, fbit) :: !sites
-      | None -> Hashtbl.add building name (ref (max 1 (bit + 1)), ref [ (bit, key, word, fbit) ]))
+      if select name then begin
+        let minor, word, fbit = Loc.ff_frame_bit site in
+        let key = (site.Loc.f_slr, site.Loc.f_row, site.Loc.f_col, minor) in
+        match Hashtbl.find_opt building name with
+        | Some (width, sites) ->
+          if bit + 1 > !width then width := bit + 1;
+          sites := (bit, key, word, fbit) :: !sites
+        | None ->
+          Hashtbl.add building name (ref (max 1 (bit + 1)), ref [ (bit, key, word, fbit) ])
+      end)
     locmap.Loc.ff_sites;
   let sm_regs = Hashtbl.create (Hashtbl.length building) in
   Hashtbl.iter
@@ -206,20 +212,23 @@ let site_map device (netlist : Netlist.t) (locmap : Loc.map) =
     Array.mapi
       (fun mi placement ->
         let name = netlist.Netlist.mems.(mi).Netlist.mem_name in
-        Hashtbl.replace sm_mems name mi;
-        let cols = Hashtbl.create 4 in
-        (match placement with
-        | Loc.In_bram sites ->
-          Array.iter
-            (fun (s : Loc.bram_site) ->
-              Hashtbl.replace cols (s.Loc.b_slr, s.Loc.b_row, s.Loc.b_col) ())
-            sites
-        | Loc.In_lutram sites ->
-          Array.iter
-            (fun (s : Loc.lut_site) ->
-              Hashtbl.replace cols (s.Loc.l_slr, s.Loc.l_row, s.Loc.l_col) ())
-            sites);
-        Hashtbl.fold (fun c () acc -> c :: acc) cols [])
+        if not (select name) then []
+        else begin
+          Hashtbl.replace sm_mems name mi;
+          let cols = Hashtbl.create 4 in
+          (match placement with
+          | Loc.In_bram sites ->
+            Array.iter
+              (fun (s : Loc.bram_site) ->
+                Hashtbl.replace cols (s.Loc.b_slr, s.Loc.b_row, s.Loc.b_col) ())
+              sites
+          | Loc.In_lutram sites ->
+            Array.iter
+              (fun (s : Loc.lut_site) ->
+                Hashtbl.replace cols (s.Loc.l_slr, s.Loc.l_row, s.Loc.l_col) ())
+              sites);
+          Hashtbl.fold (fun c () acc -> c :: acc) cols []
+        end)
       locmap.Loc.mem_placements
   in
   { sm_device = device; sm_netlist = netlist; sm_locmap = locmap;

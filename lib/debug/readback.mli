@@ -97,7 +97,10 @@ val frames_in_column : Device.t -> slr:int -> col:int -> int
 
 type site_map
 
-val site_map : Device.t -> Netlist.t -> Loc.map -> site_map
+(** [select] keeps only the registers and memories whose full name
+    satisfies it (default: every one); the others are unknown to the map,
+    as names outside the design are. *)
+val site_map : ?select:(string -> bool) -> Device.t -> Netlist.t -> Loc.map -> site_map
 
 (** All register names known to the map, sorted. *)
 val register_names : site_map -> string list

@@ -273,9 +273,11 @@ let suite =
    definition: every word goes through [Frames.write_word] /
    [Frames.read_word] at the current FAR, FAR advances after a frame's
    last word or the burst's last word, and words past the SLR's last row
-   are dropped (FDRO answers them with zeros).  Random bursts through
-   [Board.execute] must leave the same frames and return the same FDRO
-   responses as the model. *)
+   are dropped (FDRO answers them with zeros).  Reads of a never-written
+   frame allocate nothing on either side, so the allocation counts
+   compare the frames written.  Random bursts through [Board.execute]
+   must leave the same frames and return the same FDRO responses as the
+   model. *)
 
 module Frames = Zoomie_bitstream.Frames
 
@@ -441,6 +443,38 @@ let test_uc_frame_path_vs_per_word () =
   Alcotest.(check bool) "twin: off-by-one FAR advance rejected" false
     (uc_agrees ~advance:ref_advance_off_by_one device bursts)
 
+(* Reading a never-written frame sees zeros and stores nothing: a
+   full-SLR FDRO sweep of a blank board leaves every frame store empty,
+   and so do the store's own read accessors. *)
+let test_blank_reads_allocate_nothing () =
+  let device = Device.u200 () in
+  let board = Board.create device in
+  let n = Device.num_slrs device in
+  for slr = 0 to n - 1 do
+    let words = Device.frames_per_slr device slr * Geometry.words_per_frame in
+    let prog = Program.create () in
+    Program.sync prog;
+    Program.select_slr prog ~hops:((slr - device.Device.primary + n) mod n);
+    Program.set_far prog ~row:0 ~col:0 ~minor:0;
+    Program.read_frames prog ~words;
+    Program.desync prog;
+    let got = Board.execute board (Program.words prog) in
+    Alcotest.(check int) (Printf.sprintf "SLR %d: whole SLR read" slr) words (Array.length got);
+    Alcotest.(check bool) (Printf.sprintf "SLR %d: reads zeros" slr) true
+      (Array.for_all (( = ) 0) got);
+    Alcotest.(check int) (Printf.sprintf "SLR %d: nothing allocated" slr) 0
+      (Frames.allocated (Board.uc board slr).Uc.frames)
+  done;
+  let f = Frames.create () in
+  ignore (Frames.read_word f (1, 2, 3) 4 : int);
+  ignore (Frames.get_bit f (1, 2, 3) ~word:4 ~bit:5 : bool);
+  Alcotest.(check (array int)) "read_frame of a blank frame is zeros"
+    (Array.make Geometry.words_per_frame 0) (Frames.read_frame f (1, 2, 3));
+  Alcotest.(check int) "store reads allocate nothing" 0 (Frames.allocated f);
+  Frames.write_word f (1, 2, 3) 4 7;
+  Alcotest.(check int) "a write allocates its frame" 1 (Frames.allocated f);
+  Alcotest.(check int) "other frames still read zero" 0 (Frames.read_word f (3, 2, 1) 4)
+
 (* After GCAPTURE the µc serves a frame's state bits from the live design
    at FDRO time — unless FDRI wrote that frame since: then the written
    content wins until the next GCAPTURE. *)
@@ -499,4 +533,6 @@ let suite =
         test_uc_frame_path_vs_per_word;
       Alcotest.test_case "dirty frame survives lazy capture" `Quick
         test_dirty_frame_survives_lazy_capture;
+      Alcotest.test_case "blank frame reads allocate nothing" `Quick
+        test_blank_reads_allocate_nothing;
     ]

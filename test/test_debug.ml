@@ -449,8 +449,8 @@ let suite =
     ]
 
 (* A MUT with both a LUTRAM and a BRAM to exercise memory readback. *)
-let memory_mut () =
-  let b = Builder.create "mem_mut" in
+let memory_mut ?(name = "mem_mut") () =
+  let b = Builder.create name in
   let clk = Builder.clock b "clk" in
   let count =
     Builder.reg_fb b ~clock:clk "count" 8 ~next:(fun q ->
@@ -898,9 +898,111 @@ let test_step_equivalence_assertions () =
   | Ok s -> check_step_equivalence ~assertions:[ s.Zoomie_sva.Compile.monitor ] ()
   | Error f -> Alcotest.failf "sva: %s" f.Zoomie_sva.Compile.reason
 
+(* --- a host's own site map, scoped to its wrapper ---
+
+   A host attached without a map builds one over the names under its
+   [mut_path] only.  Driven through the same operations, it must act
+   exactly like a host on the same board given the full-design map. *)
+
+(* [dut] is the wrapped MUT; [dut2] an unwrapped sibling with the same
+   registers and memories, whose names share the prefix "dut" but not
+   "dut.". *)
+let sibling_board () =
+  let top =
+    let b = Builder.create "sib_top" in
+    ignore (Builder.clock b "clk");
+    let o = Builder.wire b "o_w" 8 and o2 = Builder.wire b "o2_w" 8 in
+    Builder.instantiate b ~inst_name:"dut" ~module_name:"mem_mut"
+      [ Circuit.Read_output ("o", o) ];
+    Builder.instantiate b ~inst_name:"dut2" ~module_name:"mem_sib"
+      [ Circuit.Read_output ("o", o2) ];
+    ignore (Builder.output b "o" 8 Expr.(Signal o ^: Signal o2));
+    Design.create ~top:"sib_top"
+      [ Builder.finish b; memory_mut (); memory_mut ~name:"mem_sib" () ]
+  in
+  let wrapped, info =
+    Controller.wrap top
+      { Controller.mut_module = "mem_mut"; interfaces = []; watches = [];
+        assertions = [] }
+  in
+  let device = Zoomie_fabric.Device.u200 () in
+  let run =
+    Vivado.compile
+      { Vivado.device; design = wrapped; clock_root = "clk"; freq_mhz = 50.0;
+        replicated_units = [] }
+  in
+  let board = Board.create device in
+  Vivado.load_onto board run;
+  (board, info)
+
+let map_of ?select board =
+  let p = Board.payload board in
+  Readback.site_map ?select (Board.device board) p.Board.netlist p.Board.locmap
+
+let frames_of (snap : Readback.snapshot) =
+  Readback.Frame_index.fold (fun key words acc -> (key, words) :: acc)
+    snap.Readback.snap_frames []
+
+(* Drive hosts [a] and [b] (one board) through the same operations and
+   name the first result that differs.  The named operations come first,
+   so a map that does not know the wrapper's names raises
+   [Readback_error] before anything is compared. *)
+let hosts_agree a b =
+  let ( &&& ) r (what, ok) = match r with Error _ -> r | Ok () -> if ok then r else Error what in
+  let written =
+    List.fold_left
+      (fun r (writer, v) ->
+        Host.write_register writer "count" (bits ~width:8 v);
+        let va = Host.read_register a "count" and vb = Host.read_register b "count" in
+        r &&& ("read_register after write_register", Bits.equal va vb && Bits.to_int va = v))
+      (Ok ()) [ (a, 0x5A); (b, 0xA5) ]
+  in
+  let cause h =
+    Host.step h 3;
+    let c = Host.stop_cause h in
+    (c.Host.value_bp, c.Host.cycle_bp, c.Host.assertion_bp, c.Host.watch_bp)
+  in
+  let ca = cause a in
+  let cb = cause b in
+  let columns h = (Host.mut_plan h).Readback.columns in
+  written
+  &&& ("stop_cause after step", ca = cb)
+  &&& ("mut_plan columns", columns a = columns b)
+  &&& ("read_state", Host.read_state a = Host.read_state b)
+  &&& ( "read_memory",
+        List.for_all
+          (fun m -> Host.read_memory a m = Host.read_memory b m)
+          [ "lram"; "bram_log" ] )
+  &&& ("snapshot frames", frames_of (Host.snapshot a) = frames_of (Host.snapshot b))
+
+let test_scoped_site_map () =
+  let board, info = sibling_board () in
+  let full = map_of board in
+  let own = Host.attach board ~info ~mut_path:"dut" in
+  let shared = Host.attach ~site_map:full board ~info ~mut_path:"dut" in
+  let under prefix = List.filter (String.starts_with ~prefix) (Readback.register_names full) in
+  Alcotest.(check (list string)) "own map: the full map's names under dut."
+    (under "dut.") (Readback.register_names (Host.site_map own));
+  Alcotest.(check bool) "the full map has sibling registers to leave out" true
+    (under "dut2." <> []);
+  Alcotest.(check bool) "own map knows the MUT's memories" true
+    (Readback.known_memory (Host.site_map own) "dut.mut.lram"
+    && Readback.known_memory (Host.site_map own) "dut.mut.bram_log"
+    && not (Readback.known_memory (Host.site_map own) "dut2.lram"));
+  Alcotest.(check (result unit string)) "own map == full map" (Ok ()) (hosts_agree own shared);
+  (* Planted fault: a map scoped to the sibling's prefix. *)
+  let sibling = Host.attach ~site_map:(map_of ~select:(String.starts_with ~prefix:"dut2.") board)
+      board ~info ~mut_path:"dut" in
+  match hosts_agree sibling shared with
+  | exception Readback.Readback_error _ -> ()
+  | r ->
+    Alcotest.failf "twin: sibling-scoped map not rejected (%s)"
+      (match r with Ok () -> "agreed" | Error what -> "differs in " ^ what)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "host's own map == full-design map" `Quick test_scoped_site_map;
       Alcotest.test_case "step/resume == clear then arm" `Quick test_step_equivalence;
       Alcotest.test_case "step/resume == clear then arm (assertions)" `Quick
         test_step_equivalence_assertions;

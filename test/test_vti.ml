@@ -338,6 +338,7 @@ let suite =
 (* --- differential: incremental engine vs the seed monolithic engine --- *)
 
 module Flow_baseline = Zoomie_vti.Flow_baseline
+module Framegen = Zoomie_pnr.Framegen
 module Place = Zoomie_pnr.Place
 module Timing = Zoomie_pnr.Timing
 module Synthesize = Zoomie_synth.Synthesize
@@ -455,6 +456,37 @@ let prop_recompile_differential =
         ok := !ok && same_build !b !o
       done;
       !ok)
+
+(* Planted faults for [same_build]: a monolithic build doctored with one
+   flipped word in one configuration frame, or with two entries of its
+   timing report's [top_paths] swapped, must be rejected against the
+   incremental build it otherwise equals. *)
+let test_same_build_twins () =
+  let p = project () in
+  let path = Manycore.debug_core_path in
+  let circuit = Serv.core ~name:"zerv_twin" ~program:(prog_of_imms [ 7; 9 ]) () in
+  let b = Vti.recompile (Vti.compile p) ~path ~circuit in
+  let o = Flow_baseline.recompile (Flow_baseline.compile (baseline_project p)) ~path ~circuit in
+  Alcotest.(check bool) "undoctored baseline accepted" true (same_build b o);
+  let flipped =
+    match o.Flow_baseline.frames with
+    | fw :: rest ->
+      let data = Array.copy fw.Framegen.fw_data in
+      data.(0) <- data.(0) lxor 1;
+      { fw with Framegen.fw_data = data } :: rest
+    | [] -> Alcotest.fail "baseline build has no frames"
+  in
+  Alcotest.(check bool) "twin: flipped frame word rejected" false
+    (same_build b { o with Flow_baseline.frames = flipped });
+  let timing = o.Flow_baseline.timing in
+  let swapped =
+    match timing.Timing.top_paths with
+    | x :: y :: rest when x <> y -> y :: x :: rest
+    | _ -> Alcotest.fail "top_paths has no two distinct leading entries"
+  in
+  Alcotest.(check bool) "twin: swapped top_paths rejected" false
+    (same_build b
+       { o with Flow_baseline.timing = { timing with Timing.top_paths = swapped } })
 
 (* The fast timing evaluator against the seed DFS, outside the flow. *)
 let test_analyze_fast_matches () =
@@ -584,6 +616,8 @@ let suite =
       Alcotest.test_case "differential: incremental == monolithic" `Quick
         test_differential_fixed;
       QCheck_alcotest.to_alcotest prop_recompile_differential;
+      Alcotest.test_case "differential twins: doctored baseline rejected" `Quick
+        test_same_build_twins;
       Alcotest.test_case "timing: fast evaluator == seed DFS" `Quick
         test_analyze_fast_matches;
       Alcotest.test_case "partition overflow leaves prev usable" `Quick
@@ -1073,6 +1107,140 @@ let test_carry_over_geometry () =
   Alcotest.(check bool) "width differs: not carried" true
     (contents fresh p.Board.netlist "lut" = contents init p.Board.netlist "lut")
 
+(* --- FF carry-over: aligned positions vs by name ---
+
+   [Board.carry_over_state] matches FFs by position where the old and new
+   [ff_names] arrays align from the front or the back, and by name only
+   in the unaligned middle.  The reference here is the plain by-name
+   definition: every new FF outside the dynamic regions takes the value
+   of the old FF with the same (name, bit).  Both agree only when those
+   keys are unique in each netlist, which every tested netlist must show. *)
+
+let names_unique (nl : Netlist.t) =
+  let seen = Hashtbl.create 1024 in
+  Array.for_all
+    (fun key ->
+      (not (Hashtbl.mem seen key))
+      && (Hashtbl.add seen key ();
+          true))
+    nl.Netlist.ff_names
+
+(* Per new FF, the old FF its value comes from (if any). *)
+let by_name_sources (old_nl : Netlist.t) (p : Board.payload) ~dynamic =
+  let old_index = Hashtbl.create 1024 in
+  Array.iteri (fun j key -> Hashtbl.replace old_index key j) old_nl.Netlist.ff_names;
+  Array.mapi
+    (fun i key ->
+      let s = p.Board.locmap.Loc.ff_sites.(i) in
+      if Region.contains_any dynamic ~slr:s.Loc.f_slr ~row:s.Loc.f_row ~col:s.Loc.f_col
+      then None
+      else Hashtbl.find_opt old_index key)
+    p.Board.netlist.Netlist.ff_names
+
+(* The planted fault: every FF whose match moved (the suffix behind a
+   stamp that grew) reads the old FF one before its match. *)
+let off_by_one_suffix sources =
+  Array.mapi (fun i src -> match src with Some j when j <> i -> Some (j - 1) | s -> s) sources
+
+(* Carry the board's live design into a fresh model of [p]; [true] when
+   every FF holds its source's old value, or its initial value when it
+   has no source. *)
+let carry_agrees board (p : Board.payload) ~dynamic sources =
+  let old_sim = Board.netsim board in
+  let fresh = Netsim.create p.Board.netlist in
+  Board.carry_over_state board fresh p ~dynamic;
+  let init = Netsim.create p.Board.netlist in
+  let ok = ref true in
+  Array.iteri
+    (fun i src ->
+      let want =
+        match src with
+        | Some j -> Netsim.ff_value old_sim j
+        | None -> Netsim.ff_value init i
+      in
+      if Netsim.ff_value fresh i <> want then ok := false)
+    sources;
+  !ok
+
+(* Compare on every FF, with no dynamic region and with the load's own. *)
+let check_carry what board (bs : Board.bitstream) =
+  let old_nl = (Board.payload board).Board.netlist in
+  let p = Option.get bs.Board.bs_payload in
+  Alcotest.(check bool) (what ^ ": old names unique") true (names_unique old_nl);
+  Alcotest.(check bool) (what ^ ": new names unique") true (names_unique p.Board.netlist);
+  List.iter
+    (fun (label, dynamic) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, %s: carry-over == by name" what label)
+        true
+        (carry_agrees board p ~dynamic (by_name_sources old_nl p ~dynamic)))
+    [ ("no dynamic region", []); ("load's dynamic regions", bs.Board.bs_dynamic) ]
+
+let ff_count (nl : Netlist.t) = Array.length nl.Netlist.ff_names
+
+let test_carry_over_ffs_vti () =
+  let st = Random.State.make [| 16 |] in
+  let build = Vti.compile (project ()) in
+  let board = Board.create (Device.u200 ()) in
+  Vti.load_onto board build;
+  randomize_state st board;
+  let old_n = ff_count build.Vti.netlist in
+  let path = Manycore.debug_core_path in
+  let same = Vti.recompile build ~path ~circuit:(Serv.core ~name:"zerv_carry_same" ()) in
+  Alcotest.(check int) "same-size stamp keeps the FF count" old_n (ff_count same.Vti.netlist);
+  check_carry "same-size stamp" board same.Vti.bitstream;
+  let grown =
+    Vti.recompile build ~path ~circuit:(Serv.core ~name:"zerv_carry_grown" ~xlen:20 ())
+  in
+  let grown_n = ff_count grown.Vti.netlist in
+  Alcotest.(check bool) "grown stamp has more FFs" true (grown_n > old_n);
+  check_carry "grown stamp" board grown.Vti.bitstream;
+  let p = Option.get grown.Vti.bitstream.Board.bs_payload in
+  let sources = by_name_sources build.Vti.netlist p ~dynamic:[] in
+  Alcotest.(check bool) "grown stamp shifts the suffix" true
+    (Array.exists Fun.id (Array.mapi (fun i src -> Option.fold ~none:false ~some:(( <> ) i) src) sources));
+  Alcotest.(check bool) "twin: off-by-one suffix shift rejected" false
+    (carry_agrees board p ~dynamic:[] (off_by_one_suffix sources))
+
+(* Two unrelated netlists: the same design with its FFs shuffled, first
+   and last FF moved, so no prefix or suffix aligns. *)
+let test_carry_over_ffs_shuffled () =
+  let st = Random.State.make [| 17 |] in
+  let board = odd_mems_board () in
+  randomize_state st board;
+  let p = Board.payload board in
+  let nl = p.Board.netlist in
+  let n = ff_count nl in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let swap a b =
+    let t = perm.(a) in
+    perm.(a) <- perm.(b);
+    perm.(b) <- t
+  in
+  if perm.(0) = 0 then swap 0 1;
+  if perm.(n - 1) = n - 1 then swap (n - 1) (n - 2);
+  let permute a = Array.map (fun k -> a.(k)) perm in
+  let shuffled =
+    {
+      p with
+      Board.netlist =
+        { nl with Netlist.ffs = permute nl.Netlist.ffs; ff_names = permute nl.Netlist.ff_names };
+      locmap = { p.Board.locmap with Loc.ff_sites = permute p.Board.locmap.Loc.ff_sites };
+    }
+  in
+  Alcotest.(check bool) "no common first FF" true
+    (nl.Netlist.ff_names.(0) <> shuffled.Board.netlist.Netlist.ff_names.(0));
+  Alcotest.(check bool) "no common last FF" true
+    (nl.Netlist.ff_names.(n - 1) <> shuffled.Board.netlist.Netlist.ff_names.(n - 1));
+  check_carry "shuffled FFs" board
+    { Board.bs_words = [||]; bs_payload = Some shuffled; bs_partial = true; bs_dynamic = [] }
+
 let suite =
   suite
   @ [
@@ -1084,4 +1252,8 @@ let suite =
         test_carry_over_partial;
       Alcotest.test_case "carry-over needs equal memory geometry" `Quick
         test_carry_over_geometry;
+      Alcotest.test_case "FF carry-over == by name, VTI loads" `Quick
+        test_carry_over_ffs_vti;
+      Alcotest.test_case "FF carry-over == by name, shuffled FFs" `Quick
+        test_carry_over_ffs_shuffled;
     ]
